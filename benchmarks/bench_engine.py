@@ -27,6 +27,7 @@ import pytest
 
 from conftest import BENCH_ENDPOINTS, RESULTS_DIR
 from repro.engine import simulate
+from repro.engine.simulator import _simulate
 from repro.topology import build as build_topology
 from repro.workloads import build as build_workload
 
@@ -80,13 +81,14 @@ def _write_record(record: dict) -> None:
     _record_path().write_text(json.dumps(record, indent=2) + "\n")
 
 
-def _timed(topo, flows, route_cache, allocator):
+def _timed(topo, flows, route_cache, allocator, relevel=True):
     best = float("inf")
     last = None
     for _ in range(_ROUNDS):
         t0 = time.perf_counter()
-        result = simulate(topo, flows, fidelity="exact",
-                          route_cache=route_cache, allocator=allocator)
+        result = _simulate(topo, flows, fidelity="exact",
+                           route_cache=route_cache, allocator=allocator,
+                           relevel=relevel)
         best = min(best, time.perf_counter() - t0)
         last = result
         if best > _LONG_ROUND_S:
@@ -170,11 +172,11 @@ def test_engine_allocator_speedup(benchmark):
 
 
 @pytest.mark.benchmark(group="engine")
-def test_engine_exact_batch(benchmark, monkeypatch):
+def test_engine_exact_batch(benchmark):
     """A/B the suffix-resume relevel on the exact-fidelity heavy cells.
 
     Both legs run the incremental allocator on a warmed route cache; the
-    only difference is ``REPRO_EXACT_RELEVEL``.  The relevel path is
+    only difference is the event loop's ``relevel`` switch.  The relevel path is
     bitwise-exact, so makespans and event counts must match exactly —
     the block records how much wall time the resumed fills save over
     paying a full progressive-filling pass per completion batch.
@@ -189,9 +191,8 @@ def test_engine_exact_batch(benchmark, monkeypatch):
         for name, flows in workloads.items():
             simulate(topo, flows, fidelity="approx",
                      route_cache=route_cache)
-            monkeypatch.setenv("REPRO_EXACT_RELEVEL", "0")
-            off_s, off = _timed(topo, flows, route_cache, "incremental")
-            monkeypatch.setenv("REPRO_EXACT_RELEVEL", "1")
+            off_s, off = _timed(topo, flows, route_cache, "incremental",
+                                relevel=False)
             on_s, on = _timed(topo, flows, route_cache, "incremental")
             out[name] = (off_s, off, on_s, on)
         return out

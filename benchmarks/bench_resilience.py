@@ -3,9 +3,10 @@
 Three measured cells on the torus at ``REPRO_BENCH_ENDPOINTS``:
 
 * ``healthy`` — the plain incremental engine, no timeline;
-* ``empty_timeline`` — the transient engine entered with zero events,
-  which must be *bitwise* the healthy run (asserted, not just measured):
-  the timeline merge may cost wall time but never fidelity;
+* ``empty_timeline`` — the same event loop handed an empty timeline
+  (zero epochs), which must be *bitwise* the healthy run (asserted, not
+  just measured): the timeline merge may cost wall time but never
+  fidelity;
 * ``transient`` — a seeded mid-run fail/repair timeline sized to the
   healthy makespan, reporting the recovery counters alongside the
   wall-time and makespan overhead.

@@ -45,6 +45,22 @@ def _add_common(p: argparse.ArgumentParser, *, endpoints: int) -> None:
     p.add_argument("--seed", type=int, default=0, help="random seed")
 
 
+def _jobs_count(text: str) -> int:
+    """argparse ``type`` for ``--jobs``: an integer worker count >= 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, got {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
+    return jobs
+
+
+def _add_jobs(p: argparse.ArgumentParser, help: str) -> None:
+    p.add_argument("--jobs", type=_jobs_count, default=1, help=help)
+
+
 def _add_sweep(p: argparse.ArgumentParser) -> None:
     _add_common(p, endpoints=DEFAULT_ENDPOINTS)
     p.add_argument("--fidelity", choices=("exact", "approx"),
@@ -55,8 +71,7 @@ def _add_sweep(p: argparse.ArgumentParser) -> None:
     p.add_argument("--workloads", nargs="*", default=None,
                    help="subset of workloads to run")
     p.add_argument("--out", default=None, help="also write raw CSV here")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for the sweep (default 1: serial)")
+    _add_jobs(p, "worker processes for the sweep (default 1: serial)")
     p.add_argument("--checkpoint", default=None, metavar="PATH",
                    help="append per-cell results to this JSONL file as the "
                         "sweep runs")
@@ -208,8 +223,7 @@ def main(argv: list[str] | None = None) -> int:
     pc.add_argument("--bootstrap", type=int, default=1000, metavar="N",
                     help="bootstrap resamples behind the slowdown CIs "
                          "(default 1000)")
-    pc.add_argument("--jobs", type=int, default=1,
-                    help="worker processes (default 1: serial)")
+    _add_jobs(pc, "worker processes (default 1: serial)")
     pc.add_argument("--checkpoint", default=None, metavar="PATH",
                     help="base checkpoint path (PATH.healthy.jsonl / "
                          "PATH.mc.jsonl)")
@@ -285,8 +299,7 @@ def main(argv: list[str] | None = None) -> int:
                     help="routing policies as an extra search axis "
                          f"(choose from: {', '.join(ROUTING_POLICIES)}; "
                          "default: deterministic only)")
-    po.add_argument("--jobs", type=int, default=1,
-                    help="worker processes for the simulation rungs")
+    _add_jobs(po, "worker processes for the simulation rungs")
     po.add_argument("--checkpoint", default=None, metavar="PATH",
                     help="base path for per-rank sweep checkpoints "
                          "(PATH.rank1.jsonl / PATH.rank2.jsonl)")
@@ -328,9 +341,8 @@ def main(argv: list[str] | None = None) -> int:
                     metavar="TENANT=W",
                     help="fair-share weight for one tenant (repeatable; "
                          "unlisted tenants weigh 1)")
-    pv.add_argument("--jobs", type=int, default=1,
-                    help="worker processes per simulation batch "
-                         "(default 1: serial)")
+    _add_jobs(pv, "worker processes per simulation batch "
+                  "(default 1: serial)")
     pv.add_argument("--cell-timeout", type=float, default=None,
                     metavar="SECONDS",
                     help="wall-clock cap per simulation cell")
@@ -428,8 +440,6 @@ def _validate(parser: argparse.ArgumentParser,
             parser.error(
                 f"--endpoints must be a multiple of 8 so the sweep's "
                 f"2x2x2 subtori tile the system, got {args.endpoints}")
-        if args.jobs < 1:
-            parser.error(f"--jobs must be >= 1, got {args.jobs}")
         if args.resume and not args.checkpoint:
             parser.error("--resume requires --checkpoint PATH")
         for name in getattr(args, "workloads", None) or ():
@@ -526,8 +536,6 @@ def _validate_optimize(parser: argparse.ArgumentParser,
     for level in args.fault_levels:
         if level < 0:
             parser.error(f"--fault-levels counts must be >= 0, got {level}")
-    if args.jobs < 1:
-        parser.error(f"--jobs must be >= 1, got {args.jobs}")
     if args.resume and not args.checkpoint:
         parser.error("--resume requires --checkpoint PATH")
     if args.cell_timeout is not None and args.cell_timeout <= 0:
@@ -564,8 +572,6 @@ def _validate_serve(parser: argparse.ArgumentParser,
         parser.error(f"--port must be 0..65535, got {args.port}")
     if args.capacity < 1:
         parser.error(f"--capacity must be >= 1, got {args.capacity}")
-    if args.jobs < 1:
-        parser.error(f"--jobs must be >= 1, got {args.jobs}")
     if args.batch_max < 1:
         parser.error(f"--batch-max must be >= 1, got {args.batch_max}")
     if args.cell_timeout is not None and args.cell_timeout <= 0:
@@ -671,8 +677,6 @@ def _validate_campaign(parser: argparse.ArgumentParser,
                      f"got {args.mttr_frac}")
     if args.bootstrap < 1:
         parser.error(f"--bootstrap must be >= 1, got {args.bootstrap}")
-    if args.jobs < 1:
-        parser.error(f"--jobs must be >= 1, got {args.jobs}")
     if args.resume and not args.checkpoint:
         parser.error("--resume requires --checkpoint PATH")
     if args.cell_timeout is not None and args.cell_timeout <= 0:

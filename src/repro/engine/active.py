@@ -54,7 +54,8 @@ finished — the dominant cost of the ``"exact"`` fidelity.
   resuming one another.  Any violated precondition (weighted set, net
   admissions, stale CSR, non-increasing recorded levels, replay work
   rivalling a full pass) falls back to the full pass;
-  ``REPRO_EXACT_RELEVEL=0`` disables the path for A/B benchmarking.
+  ``ActiveSet(..., relevel=False)`` disables the path for A/B
+  benchmarking and the equivalence suites.
 
 The warm and relevel paths are exact, not approximate: they reproduce
 the float values a full pass would produce, so ``"exact"``-fidelity
@@ -63,8 +64,6 @@ makespans are unchanged.  Weighted flow sets always take the full pass
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -92,12 +91,15 @@ class ActiveSet:
 
     One instance serves one simulation run; ``capacities`` is the global
     per-link capacity vector (bits/s) of the topology's link table.
+    ``relevel=False`` turns every non-warm fill into a full pass (see
+    "Suffix-resumed relevels" in the module docstring).
     """
 
     def __init__(self, capacities: np.ndarray, *,
                  weighted: bool = False,
                  track_occupancy: bool = False,
-                 kernels: str | None = None) -> None:
+                 kernels: str | None = None,
+                 relevel: bool = True) -> None:
         self.capacities = np.asarray(capacities, dtype=np.float64)
         #: Fill-kernel backend (see :mod:`repro.engine.kernels`); ``None``
         #: resolves the session default (forced > REPRO_KERNELS > auto).
@@ -176,8 +178,7 @@ class ActiveSet:
         self._seq_ok = False
         self._seq_buf_d = np.empty(0, dtype=np.float64)
         self._seq_buf_l = np.empty(0, dtype=np.float64)
-        self._relevel_enabled = \
-            os.environ.get("REPRO_EXACT_RELEVEL", "1") != "0"
+        self._relevel_enabled = bool(relevel)
 
         # membership churn since the last allocation, as append-only key
         # lists compared as sorted arrays at allocation time (cheaper

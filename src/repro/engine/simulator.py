@@ -28,11 +28,48 @@ buffers, warm-started progressive filling); ``allocator="rebuild"`` selects
 the historical rebuild-from-scratch path — the reference baseline the
 engine benchmark compares against.  Both produce identical rates (the
 incremental allocator is exact, see ``docs/simulation-model.md``).
+
+Fault timelines
+---------------
+The incremental engine has one event loop with two event sources: flow
+completions and the epoch boundaries of an optional
+:class:`~repro.topology.timeline.FaultTimeline`.  A healthy run is the
+empty timeline — no epoch ever fires, no flow ever parks and
+``result.transient`` is ``None`` — so a timeline whose events never fire
+during the run produces bitwise-identical results.  When the next epoch
+boundary lands before the earliest completion, the loop:
+
+* charges every active flow its partial progress up to the boundary
+  (``remaining -= rates * dt``) and jumps time there;
+* swaps the routing view — the base topology wrapped in the epoch's
+  cumulative :class:`~repro.topology.degraded.FaultSet`, or the bare base
+  once everything is repaired.  Route caches invalidate *incrementally*:
+  cache keys carry the fault set's
+  :meth:`~repro.topology.degraded.FaultSet.cache_token`, so each epoch
+  fills its own partition, healthy epochs reuse the healthy partition,
+  and a later epoch with the same cumulative faults (fail/repair cycles)
+  reuses earlier work — no flush, ever;
+* recovers the in-flight flows whose route crosses a newly-disabled link:
+  each is removed from the :class:`~repro.engine.active.ActiveSet`,
+  rerouted over the surviving candidate set (which falls back to the
+  uplink fail-over / BFS-detour ladder of
+  :class:`~repro.topology.degraded.DegradedTopology`), and re-added with
+  its remaining bytes preserved;
+* *parks* a flow whose pair is currently disconnected and retries it at
+  every later epoch.  :class:`~repro.errors.DegradedNetworkError` is
+  raised only when a pair is truly disconnected and no remaining event
+  could ever reconnect it — matching the static engine's behaviour for a
+  timeline that never repairs.
+
+The transient counters (fault events fired, flows rerouted/parked/
+recovered, bits moved to new routes, seconds spent parked) ride on
+``result.transient`` and — when the run is instrumented — in the metrics
+snapshot's ``"transient"`` block; both are absent without a timeline.
 """
 
 from __future__ import annotations
 
-import os
+import math
 import time
 from typing import TYPE_CHECKING
 
@@ -42,11 +79,11 @@ from repro.engine.active import ActiveSet
 from repro.engine.flows import FlowSet
 from repro.engine.maxmin import _slices_concat, allocate
 from repro.engine.results import SimulationResult
-from repro.errors import SimulationError
+from repro.errors import DegradedNetworkError, SimulationError
 from repro.routing import policy as routing_policy
 from repro.routing.policy import validate_policy
 from repro.topology.base import Topology
-from repro.topology.degraded import FaultSet
+from repro.topology.degraded import DegradedTopology, FaultSet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsCollector
@@ -57,21 +94,6 @@ _TIE_EPS = 1e-9
 
 #: Active-set churn fraction that forces a re-allocation in approx mode.
 CHURN_FRACTION = 0.05
-
-
-def _batching_enabled() -> bool:
-    """Whether completion batches process through the vectorised path.
-
-    ``REPRO_EVENT_BATCH=0`` forces the historical per-flow completion
-    walk (release one flow at a time, per-flow ActiveSet calls) in both
-    the healthy and the transient engines.  The batched path is bitwise-
-    equivalent — the equivalence regression suite
-    (``tests/test_batched_loop.py``) runs every workload under both
-    settings and asserts identical results — so the knob exists for that
-    suite and for bisecting, not for tuning.
-    """
-    return os.environ.get("REPRO_EVENT_BATCH", "1").strip().lower() \
-        not in ("0", "off", "false")
 
 _FIDELITIES = ("exact", "approx")
 
@@ -214,15 +236,51 @@ def simulate(topology: Topology, flows: FlowSet, *,
         by live link occupancy, deterministic route as escape).  See
         :mod:`repro.routing.policy` and ``docs/routing.md``.
     fault_timeline:
-        Optional :class:`~repro.topology.timeline.FaultTimeline`.  A
-        non-empty timeline dispatches to the transient engine
-        (:mod:`repro.engine.transient`): the network degrades and heals
-        mid-run, in-flight flows are recovered across fault events, and
-        ``result.transient`` carries the recovery counters.  Requires the
-        incremental allocator and the *healthy* base topology (static
+        Optional :class:`~repro.topology.timeline.FaultTimeline` whose
+        epochs the event loop merges with flow completions (see "Fault
+        timelines" in the module docstring): the network degrades and
+        heals mid-run, in-flight flows are recovered across fault events,
+        and ``result.transient`` carries the recovery counters.  Requires
+        the incremental allocator and the *healthy* base topology (static
         faults belong in the timeline as events at ``t <= 0``).  ``None``
-        or an empty timeline leaves this code path untouched — results
-        are bitwise-identical to a call without the argument.
+        or an empty timeline is the zero-epoch case of the same loop —
+        results are bitwise-identical to a call without the argument and
+        ``result.transient`` is ``None``.
+
+    The run is :func:`_simulate` with its two loop-equivalence switches
+    at their defaults (batched completion walk, relevel fills on).
+    """
+    return _simulate(topology, flows, placement=placement,
+                     fidelity=fidelity, max_events=max_events,
+                     route_cache=route_cache, metrics=metrics,
+                     allocator=allocator, routing=routing,
+                     fault_timeline=fault_timeline)
+
+
+def _simulate(topology: Topology, flows: FlowSet, *,
+              placement: np.ndarray | None = None,
+              fidelity: str = "exact",
+              max_events: int = 50_000_000,
+              route_cache: dict | None = None,
+              metrics: MetricsCollector | None = None,
+              allocator: str = "incremental",
+              routing: str = "deterministic",
+              fault_timeline: FaultTimeline | None = None,
+              per_flow: bool = False,
+              relevel: bool = True) -> SimulationResult:
+    """:func:`simulate` with the incremental event loop's switches exposed.
+
+    ``per_flow=True`` replaces the vectorised completion walk (one
+    ``remove_many``/``add_many`` per completion batch, batch-inherited
+    rates, bulk fault recovery) by the historical walk that retires and
+    releases flow by flow; adaptive routing always takes it, because each
+    route choice must see the occupancy its predecessors left.
+    ``relevel=False`` makes every exact-fidelity allocation a full
+    progressive-filling pass (see :class:`~repro.engine.active.ActiveSet`).
+    Neither changes a result — the equivalence suites run both settings
+    and assert bitwise-identical results — so they exist for those suites
+    and for bisecting, not for tuning.  The rebuild allocator ignores
+    them.
     """
     if fidelity not in _FIDELITIES:
         raise SimulationError(f"fidelity must be one of {_FIDELITIES}")
@@ -244,15 +302,19 @@ def simulate(topology: Topology, flows: FlowSet, *,
                                 reallocations=0, events=0, total_bits=0.0,
                                 metrics=snap)
 
-    if fault_timeline is not None and not fault_timeline.empty:
+    timed = fault_timeline is not None and not fault_timeline.empty
+    if timed:
         if allocator != "incremental":
             raise SimulationError(
                 "fault timelines require allocator='incremental' (the "
                 "rebuild baseline predates in-flight recovery)")
-        from repro.engine.transient import simulate_transient
-        return simulate_transient(topology, flows, placement, fidelity,
-                                  max_events, route_cache, collector,
-                                  routing, fault_timeline)
+        if isinstance(topology, DegradedTopology):
+            raise SimulationError(
+                "fault timelines require the healthy base topology; encode "
+                "static faults as timeline events at t <= 0 instead of "
+                "wrapping with DegradedTopology")
+        fault_timeline.validate(topology)
+    epochs = fault_timeline.epochs() if timed else ()
 
     if allocator == "rebuild":
         return _simulate_rebuild(topology, flows, placement, fidelity,
@@ -267,22 +329,78 @@ def simulate(topology: Topology, flows: FlowSet, *,
     weight_arr = flows.weight
 
     adaptive = routing == "adaptive"
-    # per-flow completion walk: required for adaptive (each release must
-    # see the occupancy its predecessors left), forced by the equivalence
-    # suite via REPRO_EVENT_BATCH=0 otherwise
-    per_flow = adaptive or not _batching_enabled()
+    per_flow = per_flow or adaptive
     active = ActiveSet(capacities, weighted=weighted,
-                       track_occupancy=adaptive)
+                       track_occupancy=adaptive, relevel=relevel)
+    occ_fn = (lambda: active.occupancy) if adaptive else None
 
     if route_cache is None:
         route_cache = {}
     src_ep = placement[flows.src]
     dst_ep = placement[flows.dst]
-    route_of = _make_route_fn(
-        topology, src_ep, dst_ep, route_cache, collector, routing,
-        (lambda: active.occupancy) if adaptive else None)
+
+    counters = {"fault_events": 0, "flows_rerouted": 0, "flows_parked": 0,
+                "flows_recovered": 0, "rerouted_bits": 0.0,
+                "recovery_seconds": 0.0}
+    #: flow id -> time it was parked (pair currently disconnected).
+    parked: dict[int, float] = {}
+
+    # ---- epoch state (-1: before the first epoch, the healthy machine)
+    epoch_idx = -1
+    current = topology
+    route_of = None
+    next_change = math.inf
+
+    def enter_epoch(idx: int) -> None:
+        """Switch the routing view and route function to epoch ``idx``."""
+        nonlocal epoch_idx, current, route_of, next_change
+        epoch_idx = idx
+        current = topology if idx < 0 or epochs[idx].faults.empty \
+            else DegradedTopology(topology, epochs[idx].faults)
+        route_of = _make_route_fn(current, src_ep, dst_ep, route_cache,
+                                  collector, routing, occ_fn)
+        next_change = epochs[idx + 1].start if idx + 1 < len(epochs) \
+            else math.inf
+
+    # events at or before t=0 are the machine's state at job start;
+    # everything later fires inside the loop
+    first = 0
+    while first < len(epochs) and epochs[first].start <= 0.0:
+        first += 1
+    enter_epoch(first - 1)
 
     completed_count = 0
+
+    def route_or_park(f: int, t: float) -> np.ndarray | None:
+        """Route a flow under the current epoch, or park it until repair.
+
+        Propagates :class:`~repro.errors.DegradedNetworkError` when no
+        future epoch exists — the pair can never reconnect, which is the
+        one case the typed error is for (and the behaviour that makes a
+        never-repairing timeline match the static engine).
+        """
+        try:
+            return route_of(f)
+        except DegradedNetworkError:
+            if epoch_idx + 1 >= len(epochs):
+                raise
+            parked[f] = t
+            counters["flows_parked"] += 1
+            return None
+
+    def route_batch(fids: np.ndarray, t: float
+                    ) -> tuple[np.ndarray | None, list[np.ndarray]]:
+        """Route a batch in order, parking the pairs the epoch cuts.
+
+        Returns the mask of ``fids`` that enter the network (``None``
+        when none parked — always, on a healthy run) and their routes.
+        """
+        parked_before = len(parked)
+        routes = [route_or_park(f, t) for f in fids.tolist()]
+        if len(parked) == parked_before:
+            return None, routes
+        keep = np.array([r is not None for r in routes], dtype=bool)
+        return keep, [r for r in routes if r is not None]
 
     def inject(fid: int, t: float, rate: float) -> int:
         """Mark a flow ready at ``t``; zero-hop flows complete instantly.
@@ -300,7 +418,9 @@ def simulate(topology: Topology, flows: FlowSet, *,
         while stack:
             f, r = stack.pop()
             start[f] = t
-            route = route_of(f)
+            route = route_or_park(f, t)
+            if route is None:
+                continue  # parked; remains un-started until a repair
             if collector is not None:
                 collector.flow_injected(float(flows.size[f]), route.shape[0])
             if route.shape[0]:
@@ -316,6 +436,16 @@ def simulate(topology: Topology, flows: FlowSet, *,
                 if indegree[succ] == 0:
                     stack.append((succ, r))
         return admitted
+
+    def add_batch(fids: np.ndarray, route_list: list[np.ndarray],
+                  rates: np.ndarray | None = None) -> int:
+        """Admit routed flows through one ``add_many``; returns the count."""
+        active.add_many(fids, route_list, rates=rates,
+                        weights=weight_arr[fids] if weighted else None)
+        if collector is not None:
+            for f, r in zip(fids.tolist(), route_list):
+                collector.flow_injected(float(flows.size[f]), r.shape[0])
+        return fids.shape[0]
 
     succ_indptr = flows.succ_indptr
     succ_indices = flows.succ_indices
@@ -341,14 +471,9 @@ def simulate(topology: Topology, flows: FlowSet, *,
         routed = ready[~zero_hop]
         if routed.shape[0]:
             start[routed] = t
-            route_list = [route_of(f) for f in routed.tolist()]
-            active.add_many(routed, route_list,
-                            weights=weight_arr[routed] if weighted else None)
-            if collector is not None:
-                for f, r in zip(routed.tolist(), route_list):
-                    collector.flow_injected(float(flows.size[f]),
-                                            r.shape[0])
-            admitted += routed.shape[0]
+            keep, route_list = route_batch(routed, t)
+            admitted += add_batch(routed if keep is None else routed[keep],
+                                  route_list)
         for f in ready[zero_hop].tolist():
             admitted += inject(f, t, 0.0)
         return admitted
@@ -385,8 +510,9 @@ def simulate(topology: Topology, flows: FlowSet, *,
         order, so the inherited rates are bitwise those of the walk.
         Zero-hop successors complete instantly and cascade decrements
         that interleave with the batch's own, so their presence falls
-        back to the sequential walk.  Returns the number of flows
-        admitted to the network.
+        back to the sequential walk.  A released flow whose pair the
+        current epoch disconnects parks instead of entering the network.
+        Returns the number of flows admitted to the network.
         """
         completion[done_ids] = t
         active.remove_many(done_ids)
@@ -416,13 +542,83 @@ def simulate(topology: Topology, flows: FlowSet, *,
         ready = uniq[ready_mask][seq]
         inherit = rep_rates[trig[seq]]
         start[ready] = t
-        route_list = [route_of(f) for f in ready.tolist()]
-        active.add_many(ready, route_list, rates=inherit,
-                        weights=weight_arr[ready] if weighted else None)
-        if collector is not None:
-            for f, r in zip(ready.tolist(), route_list):
-                collector.flow_injected(float(flows.size[f]), r.shape[0])
-        return ready.shape[0]
+        keep, route_list = route_batch(ready, t)
+        if keep is not None:
+            ready, inherit = ready[keep], inherit[keep]
+        return add_batch(ready, route_list, rates=inherit)
+
+    def apply_epoch(t: float) -> None:
+        """Advance to the next epoch and recover the flows it cuts."""
+        enter_epoch(epoch_idx + 1)
+        counters["fault_events"] += 1
+
+        # flows whose route the new fault state just cut (repairs disable
+        # nothing, so a pure-repair epoch recovers parked flows only)
+        affected: list[int] = []
+        if isinstance(current, DegradedTopology) and active.size:
+            mask = current.disabled_link_mask()
+            affected = sorted(
+                f for f, route in zip(active.flow_ids.tolist(),
+                                      active.route_list())
+                if mask[route].any())
+        if affected:
+            active.remove_many(np.asarray(affected, dtype=np.int64))
+        if per_flow:
+            # re-added after *all* removals, per flow so each selection
+            # sees the occupancy the previous re-add left, in
+            # ascending-id order for determinism
+            for f in affected:
+                route = route_or_park(f, t)
+                if route is None:
+                    continue
+                active.add(f, route, rate=0.0,
+                           weight=float(weight_arr[f]) if weighted else 1.0)
+                counters["flows_rerouted"] += 1
+                counters["rerouted_bits"] += float(remaining[f])
+        else:
+            # routes are occupancy-independent: reroute each cut flow in
+            # the same ascending-id order, then re-admit the batch in one
+            # vectorised pass
+            fids: list[int] = []
+            route_list: list[np.ndarray] = []
+            for f in affected:
+                route = route_or_park(f, t)
+                if route is None:
+                    continue
+                fids.append(f)
+                route_list.append(route)
+                counters["flows_rerouted"] += 1
+                counters["rerouted_bits"] += float(remaining[f])
+            if fids:
+                fid_arr = np.asarray(fids, dtype=np.int64)
+                active.add_many(fid_arr, route_list,
+                                weights=weight_arr[fid_arr] if weighted
+                                else None)
+        recovered: list[int] = []
+        recovered_routes: list[np.ndarray] = []
+        for f in sorted(parked):
+            try:
+                route = route_of(f)
+            except DegradedNetworkError:
+                continue  # still cut; retried at the next epoch
+            if per_flow:
+                active.add(f, route, rate=0.0,
+                           weight=float(weight_arr[f]) if weighted else 1.0)
+                if collector is not None:
+                    collector.flow_injected(float(flows.size[f]),
+                                            route.shape[0])
+            else:
+                recovered.append(f)
+                recovered_routes.append(route)
+            counters["flows_recovered"] += 1
+            counters["recovery_seconds"] += t - parked.pop(f)
+            counters["rerouted_bits"] += float(remaining[f])
+        add_batch(np.asarray(recovered, dtype=np.int64), recovered_routes)
+        if parked and epoch_idx + 1 >= len(epochs):
+            pairs = [(int(src_ep[f]), int(dst_ep[f])) for f in sorted(parked)]
+            raise DegradedNetworkError(
+                pairs, faults=current.faults.describe()
+                if isinstance(current, DegradedTopology) else None)
 
     roots = flows.roots()
     if roots.shape[0] == 0:
@@ -434,14 +630,27 @@ def simulate(topology: Topology, flows: FlowSet, *,
     reallocations = 0
     churn = active.size   # everything new -> allocate on first iteration
     alloc_size = 0
+    force_alloc = False   # set after every epoch transition
     loop_t0 = time.perf_counter() if collector is not None else 0.0
 
     while completed_count < n:
         if active.size == 0:
+            if parked:
+                # everything in flight is waiting on a repair: jump time
+                # straight to the next fault event (route_or_park only
+                # parks when a later epoch exists, so this terminates)
+                now = max(now, next_change)
+                apply_epoch(now)
+                force_alloc = True
+                events += 1
+                if events > max_events:
+                    raise SimulationError(f"exceeded {max_events} events")
+                continue
             raise SimulationError(
                 f"simulation stalled with {n - completed_count} flows blocked "
                 "(cyclic or unsatisfiable dependencies)")
-        if fidelity == "exact" or churn >= max(1.0, CHURN_FRACTION * alloc_size):
+        if fidelity == "exact" or force_alloc \
+                or churn >= max(1.0, CHURN_FRACTION * alloc_size):
             stats: dict | None = {} if collector is not None else None
             t0 = time.perf_counter() if collector is not None else 0.0
             active.allocate(stats=stats)
@@ -451,6 +660,8 @@ def simulate(topology: Topology, flows: FlowSet, *,
                     reason = "warm"
                 elif fidelity == "exact":
                     reason = "forced"
+                elif force_alloc:
+                    reason = "fault"
                 else:
                     reason = "initial" if reallocations == 0 else "churn"
                 collector.record_allocation(active.size, stats["iterations"],
@@ -459,6 +670,7 @@ def simulate(topology: Topology, flows: FlowSet, *,
             reallocations += 1
             churn = 0
             alloc_size = active.size
+            force_alloc = False
 
         ids = active.flow_ids
         rates = active.rates
@@ -475,6 +687,24 @@ def simulate(topology: Topology, flows: FlowSet, *,
                 f"flow(s) {bad.tolist()[:8]} have a non-finite completion "
                 f"deadline: the allocator froze them at zero rate "
                 f"(fidelity={fidelity!r}, event {events})")
+
+        if next_change < now + dt:
+            # the fault event fires before the earliest completion: charge
+            # partial progress, jump to the boundary, recover and re-plan.
+            # Completions exactly *at* the boundary are not special-cased —
+            # they fall out of the next iteration with dt == 0.
+            dt_fault = next_change - now
+            if collector is not None:
+                collector.account_event(active.route_list(), rates, dt_fault)
+            remaining[ids] -= rates * dt_fault
+            now = next_change
+            apply_epoch(now)
+            force_alloc = True
+            events += 1
+            if events > max_events:
+                raise SimulationError(f"exceeded {max_events} events")
+            continue
+
         # absolute+relative tie window: a pure relative one collapses to a
         # no-op when dt == 0 (simultaneous zero-size flows would then churn
         # one event each instead of batching)
@@ -491,14 +721,14 @@ def simulate(topology: Topology, flows: FlowSet, *,
         if fidelity == "exact":
             completion[done_ids] = now
             if per_flow and not adaptive:
-                # the historical per-event walk (REPRO_EVENT_BATCH=0):
-                # retire and release flow by flow.  Rates are identical
-                # to the batched path — exact mode reallocates from the
-                # membership alone before any rate is read — which the
-                # equivalence suite asserts bitwise.  Adaptive routing
-                # keeps the batched-release admission order either way:
-                # its route choices feed on occupancy, and release_batch
-                # already admits adaptively per flow.
+                # the historical per-event walk: retire and release flow
+                # by flow.  Rates are identical to the batched path —
+                # exact mode reallocates from the membership alone before
+                # any rate is read — which the equivalence suite asserts
+                # bitwise.  Adaptive routing keeps the batched-release
+                # admission order either way: its route choices feed on
+                # occupancy, and release_batch already admits adaptively
+                # per flow.
                 for fid in done_ids.tolist():
                     active.remove(fid)
                     for succ in flows.successors(fid).tolist():
@@ -530,6 +760,8 @@ def simulate(topology: Topology, flows: FlowSet, *,
     snap = None
     if collector is not None:
         collector.add_time("event_loop", time.perf_counter() - loop_t0)
+        if timed:
+            collector.record_transient(counters)
         snap = collector.snapshot(topology, now)
     return SimulationResult(
         makespan=now,
@@ -545,6 +777,7 @@ def simulate(topology: Topology, flows: FlowSet, *,
                          "full_passes": active.full_passes,
                          "warm_fills": active.warm_fills,
                          "relevel_fills": active.relevel_fills},
+        transient=dict(counters) if timed else None,
     )
 
 

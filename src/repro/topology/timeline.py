@@ -3,8 +3,8 @@
 The static fault model (:class:`~repro.topology.degraded.FaultSet`) fixes
 the broken machine before a simulation starts.  At the paper's
 131,072-QFDB scale, component MTBF guarantees faults arrive *during* jobs:
-this module provides the reproducible event sequences the transient engine
-(:mod:`repro.engine.transient`) merges with flow completions, so the
+this module provides the reproducible event sequences the event loop of
+:func:`repro.engine.simulate` merges with flow completions, so the
 network degrades and heals mid-run.
 
 A :class:`FaultTimeline` is an ordered sequence of :class:`FaultEvent`

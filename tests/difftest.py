@@ -7,8 +7,8 @@ Two suites drive this module:
   for every :class:`~repro.engine.active.ActiveSet` the scenario builds)
   and asserts the results are bitwise-identical;
 * ``tests/test_batched_loop.py`` runs one scenario under the vectorised
-  and the historical per-flow event loops (``REPRO_EVENT_BATCH``) with
-  the same assertion.
+  and the historical per-flow completion walks (the event loop's
+  ``per_flow`` switch) with the same assertion.
 
 "Bitwise-identical" here means every float in the
 :class:`~repro.engine.results.SimulationResult` compares equal (NaN

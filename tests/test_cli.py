@@ -141,10 +141,15 @@ class TestInputValidation:
         err = self._error(capsys, ["fig5", "--endpoints", "64", "--resume"])
         assert "--checkpoint" in err
 
-    def test_bad_jobs(self, capsys):
-        err = self._error(capsys, ["fig5", "--endpoints", "64",
-                                   "--jobs", "0"])
-        assert "--jobs" in err
+    @pytest.mark.parametrize("argv", (
+        ["fig5", "--endpoints", "64"],
+        ["campaign", "--endpoints", "64", "--workload", "reduce"],
+        ["optimize", "--endpoints", "64"],
+        ["serve", "--store", "unused-store"],
+    ), ids=("fig5", "campaign", "optimize", "serve"))
+    def test_bad_jobs(self, capsys, argv):
+        err = self._error(capsys, argv + ["--jobs", "0"])
+        assert "--jobs" in err and ">= 1" in err
 
     def test_negative_fail_links(self, capsys):
         err = self._error(capsys, ["fig5", "--endpoints", "64",

@@ -11,8 +11,8 @@ The path is specified as *bitwise-exact*: every rate, makespan and
 completion time must match what the full pass — and therefore the
 historical per-event walk and the rebuild-per-event baseline — produces.
 This suite pins that claim across workloads, topology families, healthy
-and transient timelines, with the relevel knob (``REPRO_EXACT_RELEVEL``)
-and the event-batch knob (``REPRO_EVENT_BATCH``) toggled independently.
+and transient timelines, with the event loop's ``relevel`` and
+``per_flow`` switches toggled independently.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import pytest
 
 from repro.engine import simulate
 from repro.engine.active import ActiveSet
+from repro.engine.simulator import _simulate
 from repro.topology import FaultTimeline
 from repro.workloads import build as build_workload
 from tests.difftest import assert_results_identical
@@ -31,17 +32,18 @@ _FAMILIES = ("small_torus", "small_fattree", "small_ghc", "small_nesttree",
              "small_nestghc")
 
 
-def _run_matrix(monkeypatch, scenario):
-    """Run ``scenario`` under every knob combination; assert identical.
+def _run_matrix(topology, flows, **kwargs):
+    """Run one exact cell under every switch combination; assert identical.
 
-    Returns the default-knob (relevel on, batched) result.
+    Returns the default (relevel on, batched) result.
     """
     results = []
-    for relevel in ("1", "0"):
-        for batch in ("1", "0"):
-            monkeypatch.setenv("REPRO_EXACT_RELEVEL", relevel)
-            monkeypatch.setenv("REPRO_EVENT_BATCH", batch)
-            results.append((f"relevel={relevel},batch={batch}", scenario()))
+    for relevel in (True, False):
+        for per_flow in (False, True):
+            results.append((f"relevel={relevel},per_flow={per_flow}",
+                            _simulate(topology, flows, fidelity="exact",
+                                      relevel=relevel, per_flow=per_flow,
+                                      **kwargs)))
     base_label, base = results[0]
     for label, other in results[1:]:
         assert_results_identical(base, other, base_label, label)
@@ -49,66 +51,60 @@ def _run_matrix(monkeypatch, scenario):
 
 
 class TestExactBatchEquivalence:
-    """3 workloads x 5 families, healthy: all knob paths bitwise-equal."""
+    """3 workloads x 5 families, healthy: all switch paths bitwise-equal."""
 
     @pytest.mark.parametrize("family", _FAMILIES)
     @pytest.mark.parametrize("workload", _WORKLOADS)
-    def test_healthy(self, monkeypatch, request, family, workload):
+    def test_healthy(self, request, family, workload):
         topo = request.getfixturevalue(family)
         flows = build_workload(workload, topo.num_endpoints, seed=0).build()
-        result = _run_matrix(
-            monkeypatch,
-            lambda: simulate(topo, flows, fidelity="exact"))
+        result = _run_matrix(topo, flows)
         assert np.isfinite(result.completion_times).all()
 
     @pytest.mark.parametrize("workload", _WORKLOADS)
-    def test_rebuild_baseline(self, monkeypatch, small_nesttree, workload):
+    def test_rebuild_baseline(self, small_nesttree, workload):
         """The relevel engine still matches the historical rebuild."""
         flows = build_workload(workload, small_nesttree.num_endpoints,
                                seed=0).build()
-        monkeypatch.setenv("REPRO_EXACT_RELEVEL", "1")
-        inc = simulate(small_nesttree, flows, fidelity="exact")
+        inc = _simulate(small_nesttree, flows, fidelity="exact",
+                        relevel=True)
         reb = simulate(small_nesttree, flows, fidelity="exact",
                        allocator="rebuild")
         assert_results_identical(inc, reb, "incremental", "rebuild")
 
-    def test_relevel_fires_on_independent_flows(self, monkeypatch,
-                                                small_nesttree):
+    def test_relevel_fires_on_independent_flows(self, small_nesttree):
         """Pure-removal churn — the state the warm path never matched —
         now resumes the recorded fill instead of running a full pass."""
         flows = build_workload("unstructuredhr",
                                small_nesttree.num_endpoints, seed=1).build()
-        monkeypatch.setenv("REPRO_EXACT_RELEVEL", "1")
-        result = simulate(small_nesttree, flows, fidelity="exact")
+        result = _simulate(small_nesttree, flows, fidelity="exact",
+                           relevel=True)
         stats = result.allocator_stats
         assert stats["relevel_fills"] > 0
         assert stats["relevel_fills"] + stats["warm_fills"] \
             > stats["full_passes"]
 
-    def test_knob_disables_relevel(self, monkeypatch, small_nesttree):
+    def test_knob_disables_relevel(self, small_nesttree):
         flows = build_workload("unstructuredhr",
                                small_nesttree.num_endpoints, seed=1).build()
-        monkeypatch.setenv("REPRO_EXACT_RELEVEL", "0")
-        result = simulate(small_nesttree, flows, fidelity="exact")
+        result = _simulate(small_nesttree, flows, fidelity="exact",
+                           relevel=False)
         assert result.allocator_stats["relevel_fills"] == 0
         assert result.allocator_stats["full_passes"] == result.reallocations
 
 
 class TestTransientExactBatch:
-    """Fault boundaries take the same path: knob matrix stays bitwise."""
+    """Fault boundaries take the same path: switch matrix stays bitwise."""
 
     @pytest.mark.parametrize("workload", _WORKLOADS)
-    def test_transient_matrix(self, monkeypatch, small_nesttree, workload):
+    def test_transient_matrix(self, small_nesttree, workload):
         flows = build_workload(workload, small_nesttree.num_endpoints,
                                seed=0).build()
         base = simulate(small_nesttree, flows)
         tl = FaultTimeline.sample(small_nesttree, cables=4, seed=3,
                                   horizon=base.makespan * 0.8,
                                   mttr=base.makespan * 0.25)
-        result = _run_matrix(
-            monkeypatch,
-            lambda: simulate(small_nesttree, flows, fidelity="exact",
-                             fault_timeline=tl))
+        result = _run_matrix(small_nesttree, flows, fault_timeline=tl)
         assert result.transient is not None
         assert result.transient["fault_events"] > 0
 

@@ -1,4 +1,4 @@
-"""Tests for transient fault timelines and the transient engine.
+"""Tests for transient fault timelines and the engine's fault epochs.
 
 The acceptance matrix of the transient-fault PR:
 
@@ -162,18 +162,39 @@ class TestEmptyTimelineIdentity:
         assert timed.reallocations == base.reallocations
         assert timed.transient is None
 
-    def test_never_firing_timeline_is_bitwise_identical(self):
-        # events exist but all land beyond the job's end: the transient
-        # engine runs, yet no epoch boundary ever fires
-        base = simulate(topo(), flows(), fidelity="approx")
+    @pytest.mark.parametrize("fidelity", ("exact", "approx"))
+    @pytest.mark.parametrize("routing",
+                             ("deterministic", "ecmp", "adaptive"))
+    def test_never_firing_timeline_is_bitwise_identical(self, fidelity,
+                                                        routing):
+        # events exist but all land beyond the job's end: the epoch
+        # bookkeeping runs, yet no epoch boundary ever fires
+        base = simulate(topo(), flows(), fidelity=fidelity, routing=routing)
         tl = FaultTimeline.sample(topo(), cables=4, seed=2,
                                   horizon=base.makespan * 1e6)
         assert all(ev.time > base.makespan for ev in tl.events)
-        timed = simulate(topo(), flows(), fidelity="approx",
-                         fault_timeline=tl)
+        timed = simulate(topo(), flows(), fidelity=fidelity,
+                         routing=routing, fault_timeline=tl)
         assert timed.makespan == base.makespan
         assert np.array_equal(timed.completion_times, base.completion_times)
-        assert timed.transient["fault_events"] == 0
+        assert np.array_equal(timed.start_times, base.start_times)
+        assert timed.events == base.events
+        assert timed.reallocations == base.reallocations
+        assert timed.allocator_stats == base.allocator_stats
+        assert timed.transient == {
+            "fault_events": 0, "flows_rerouted": 0, "flows_parked": 0,
+            "flows_recovered": 0, "rerouted_bits": 0.0,
+            "recovery_seconds": 0.0}
+
+    @pytest.mark.parametrize("timeline", (None, FaultTimeline()),
+                             ids=("none", "empty"))
+    def test_no_timeline_reports_no_transient_block(self, timeline):
+        t = topo()
+        result = simulate(t, flows(), fidelity="approx",
+                          fault_timeline=timeline,
+                          metrics=MetricsCollector(t.links.num_links))
+        assert result.transient is None
+        assert "transient" not in result.metrics
 
 
 class TestStaticEquivalence:
