@@ -21,13 +21,16 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import time
 
+import numpy as np
 import pytest
 
 from conftest import BENCH_ENDPOINTS, RESULTS_DIR
 from repro.engine import simulate
 from repro.engine.simulator import _simulate
+from repro.engine.static import analyze
 from repro.topology import build as build_topology
 from repro.workloads import build as build_workload
 
@@ -62,6 +65,16 @@ _PAPER_ENDPOINTS = 131072
 _PAPER_CELLS = (("allreduce", "exact"), ("unstructuredhr", "approx"))
 
 
+#: Approx scaling ladder (``approx_ladder`` block): approx unstructuredhr
+#: on nesttree(2,4).  It runs behind ``REPRO_BENCH_PAPER_SCALE=1`` (the
+#: top rung takes ~30 s a round on a 2-core host); without it the ladder
+#: is ``BENCH_ENDPOINTS`` and twice that, enough to fit an exponent.
+_LADDER_ENDPOINTS = (4096, 8192, 32768)
+
+#: Timed rounds per rung (median reported); the largest rung runs once.
+_LADDER_ROUNDS = 3
+
+
 def _record_path():
     return RESULTS_DIR / "BENCH_engine.json"
 
@@ -77,7 +90,7 @@ def _load_record() -> dict:
 
 
 def _write_record(record: dict) -> None:
-    RESULTS_DIR.mkdir(exist_ok=True)
+    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     _record_path().write_text(json.dumps(record, indent=2) + "\n")
 
 
@@ -157,9 +170,9 @@ def test_engine_allocator_speedup(benchmark):
         "rounds": _ROUNDS,
         "cells": cells,
     }
-    # the paper-scale and exact-batch blocks are produced by their own
-    # runs; a small-scale regeneration (e.g. CI at 64 endpoints) must
-    # not drop a larger committed block
+    # the paper-scale, exact-batch and approx-ladder blocks are produced
+    # by their own runs; a small-scale regeneration must not drop a
+    # larger committed block
     prior_record = _load_record()
     prior = prior_record.get("paper_scale")
     if prior is not None and prior.get("endpoints", 0) > BENCH_ENDPOINTS:
@@ -167,6 +180,8 @@ def test_engine_allocator_speedup(benchmark):
     prior = prior_record.get("exact_batch")
     if prior is not None and prior.get("endpoints", 0) > BENCH_ENDPOINTS:
         record["exact_batch"] = prior
+    if "approx_ladder" in prior_record:
+        record["approx_ladder"] = prior_record["approx_ladder"]
     _write_record(record)
     assert _record_path().exists()
 
@@ -292,4 +307,87 @@ def test_engine_paper_scale(benchmark):
         "build_seconds": build_s,
         "cells": cells,
     }
+    _write_record(record)
+
+
+@pytest.mark.benchmark(group="engine")
+def test_engine_approx_ladder(benchmark):
+    """Scaling ladder of the approx-fidelity event loop.
+
+    Approx unstructuredhr on nesttree(2,4) (the paper's Figure 4/5
+    fidelity and the cell the finish calendar targets), route cache
+    warmed by the static analyzer so each timed round is ``simulate()``
+    alone.  Records per rung the median wall over
+    :data:`_LADDER_ROUNDS` rounds (one round at the top rung), events,
+    reallocations and host microseconds per event, plus the fitted
+    scaling exponents of wall time and of time per event.  The lowest
+    rung is checked against the rebuild engine with the suite's
+    incremental-vs-rebuild tolerances.
+    """
+    if os.environ.get("REPRO_BENCH_PAPER_SCALE") == "1":
+        ladder = _LADDER_ENDPOINTS
+    else:
+        ladder = (BENCH_ENDPOINTS, 2 * BENCH_ENDPOINTS)
+
+    def run():
+        rungs = {}
+        for i, n in enumerate(ladder):
+            topo = build_topology("nesttree", n, t=2, u=4)
+            flows = build_workload("unstructuredhr", n, seed=0).build()
+            route_cache: dict = {}
+            analyze(topo, flows, route_cache=route_cache)
+            rounds = 1 if n >= _LADDER_ENDPOINTS[-1] else _LADDER_ROUNDS
+            walls = []
+            for _ in range(rounds):
+                t0 = time.perf_counter()
+                result = simulate(topo, flows, fidelity="approx",
+                                  route_cache=route_cache)
+                walls.append(time.perf_counter() - t0)
+            if i == 0:
+                ref = simulate(topo, flows, fidelity="approx",
+                               route_cache=route_cache, allocator="rebuild")
+                assert result.events == ref.events, n
+                assert result.makespan == pytest.approx(ref.makespan,
+                                                        rel=1e-12), n
+            wall = statistics.median(walls)
+            rungs[str(n)] = {
+                "flows": result.num_flows,
+                "rounds": rounds,
+                "wall_seconds": wall,
+                "walls": walls,
+                "events": result.events,
+                "reallocations": result.reallocations,
+                "us_per_event": wall / result.events * 1e6,
+                "makespan_s": result.makespan,
+                "full_passes": result.allocator_stats["full_passes"],
+                "relevel_fills": result.allocator_stats["relevel_fills"],
+            }
+        return rungs
+
+    rungs = benchmark.pedantic(run, rounds=1, iterations=1)
+    sizes = [int(n) for n in rungs]
+    for n, cell in rungs.items():
+        assert 0 < cell["reallocations"] < cell["events"], n
+
+    record = _load_record()
+    prior = record.get("approx_ladder")
+    if prior is not None and max(int(n) for n in prior["rungs"]) \
+            > max(sizes):
+        return  # a smaller regeneration never replaces a larger ladder
+    if not record:
+        record = {"bench": "engine", "schema": "repro-bench-engine-v1",
+                  "cells": {}}
+    record["approx_ladder"] = {
+        "topology": "nesttree(2,4)",
+        "workload": "unstructuredhr",
+        "fidelity": "approx",
+        "endpoints": sizes,
+        "rungs": rungs,
+    }
+    for metric, key in (("wall_seconds", "wall_exponent"),
+                        ("us_per_event", "us_per_event_exponent")):
+        ys = [rungs[str(n)][metric] for n in sizes]
+        # least-squares slope of log(metric) over log(endpoints)
+        record["approx_ladder"][key] = float(
+            np.polyfit(np.log(sizes), np.log(ys), 1)[0])
     _write_record(record)

@@ -102,7 +102,7 @@ def test_observability_overhead(benchmark):
         },
         "timers_s": snap["timers_s"],
     }
-    RESULTS_DIR.mkdir(exist_ok=True)
+    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     out = RESULTS_DIR / "BENCH_observability.json"
     out.write_text(json.dumps(record, indent=2) + "\n")
     assert out.exists()

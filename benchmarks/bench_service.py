@@ -165,7 +165,7 @@ def test_service_latency_and_throughput(benchmark, tmp_path):
                    "rejected", "batches")},
         "throughput": throughput,
     }
-    RESULTS_DIR.mkdir(exist_ok=True)
+    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     path = RESULTS_DIR / "BENCH_service.json"
     path.write_text(json.dumps(record, indent=2) + "\n")
     print(f"\nservice bench record written to {path}")

@@ -8,9 +8,12 @@ adding a bench record means registering its schema here, in the same PR.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/check_schemas.py
+    PYTHONPATH=src python benchmarks/check_schemas.py [RESULTS_DIR]
     PYTHONPATH=src python benchmarks/check_schemas.py --service-store DIR
 
+The first form validates the records under ``RESULTS_DIR`` (default: the
+committed ``benchmarks/results``) — CI's smoke run points it at the
+scratch directory its benches wrote to (``REPRO_BENCH_RESULTS_DIR``).
 The second form validates every record of a ``repro serve`` result
 store directory against the service schema
 (:func:`repro.service.store.validate_store_record`) — the CI
@@ -71,6 +74,24 @@ def check_engine(doc: dict) -> str:
             "exact_batch block never took the relevel path"
         detail += (f" + exact_batch@{exact['endpoints']} "
                    f"({', '.join(sorted(exact['cells']))})")
+    ladder = doc.get("approx_ladder")
+    if ladder is not None:
+        assert ladder["fidelity"] == "approx", ladder.get("fidelity")
+        sizes = ladder["endpoints"]
+        assert len(sizes) >= 2 and sizes == sorted(sizes), sizes
+        assert [int(n) for n in ladder["rungs"]] == sizes, \
+            "approx_ladder rungs do not match its endpoints"
+        for n, rung in ladder["rungs"].items():
+            for field in ("flows", "rounds", "wall_seconds", "walls",
+                          "events", "reallocations", "us_per_event",
+                          "makespan_s", "full_passes", "relevel_fills"):
+                assert field in rung, (n, field)
+            assert len(rung["walls"]) == rung["rounds"] >= 1, n
+            assert 0 < rung["reallocations"] < rung["events"], n
+        for field in ("wall_exponent", "us_per_event_exponent"):
+            assert isinstance(ladder[field], float), field
+        detail += (f" + approx_ladder@{'/'.join(map(str, sizes))} "
+                   f"(wall ~ N^{ladder['wall_exponent']:.2f})")
     return detail
 
 
@@ -185,9 +206,13 @@ def main() -> int:
                   file=sys.stderr)
             return 2
         return check_service_store_dir(sys.argv[2])
-    paths = sorted(glob.glob(os.path.join(RESULTS_DIR, "BENCH_*.json")))
+    if len(sys.argv) > 2 or sys.argv[1:2] and sys.argv[1].startswith("-"):
+        print("usage: check_schemas.py [RESULTS_DIR]", file=sys.stderr)
+        return 2
+    results_dir = sys.argv[1] if len(sys.argv) == 2 else RESULTS_DIR
+    paths = sorted(glob.glob(os.path.join(results_dir, "BENCH_*.json")))
     if not paths:
-        print(f"no BENCH_*.json records under {RESULTS_DIR}",
+        print(f"no BENCH_*.json records under {results_dir}",
               file=sys.stderr)
         return 1
     failures = 0

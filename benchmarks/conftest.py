@@ -6,6 +6,9 @@ optionally ``REPRO_BENCH_TASKS`` for the quadratic workloads) to raise the
 scale — the headline EXPERIMENTS.md run uses 4096.  ``REPRO_BENCH_JOBS``
 fans each figure sweep out over the parallel sweep runner (default 1:
 serial, which also lets every bench share one in-process topology cache).
+``REPRO_BENCH_RESULTS_DIR`` redirects every record and report away from
+the committed ``benchmarks/results/`` — CI's smoke run writes there, so a
+smoke-scale regeneration never overwrites a committed record.
 
 Each figure bench simulates one workload across the whole design space and
 deposits its records into a session-wide table; at session teardown the
@@ -26,7 +29,8 @@ from repro.core.explorer import ResultTable
 BENCH_ENDPOINTS = int(os.environ.get("REPRO_BENCH_ENDPOINTS", "512"))
 BENCH_TASKS = int(os.environ.get("REPRO_BENCH_TASKS", "128"))
 BENCH_JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
-RESULTS_DIR = Path(__file__).parent / "results"
+RESULTS_DIR = Path(os.environ.get("REPRO_BENCH_RESULTS_DIR",
+                                  Path(__file__).parent / "results"))
 
 
 @pytest.fixture(scope="session")
@@ -36,7 +40,7 @@ def sweep_jobs() -> int:
 
 
 def write_result(name: str, text: str) -> Path:
-    RESULTS_DIR.mkdir(exist_ok=True)
+    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     path = RESULTS_DIR / name
     path.write_text(text + "\n")
     return path

@@ -222,6 +222,11 @@ class ActiveSet:
         """Active routes in slot order (for the metrics collector)."""
         return self._routes[:self._m]  # type: ignore[return-value]
 
+    def slots_of(self, fids: np.ndarray) -> np.ndarray:
+        """Current slots of the active flows ``fids`` (their positions in
+        :attr:`flow_ids` and :attr:`rates`)."""
+        return self._slot_arr[fids]
+
     # ----------------------------------------------------------- membership
     def add(self, fid: int, route: np.ndarray, *, rate: float = 0.0,
             weight: float = 1.0) -> None:

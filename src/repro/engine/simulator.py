@@ -21,6 +21,20 @@ and re-allocating rates.  Two fidelities are offered:
 Completion ties within a relative window are batched, which keeps the event
 count low for the highly symmetric collectives the paper uses.
 
+Exact fidelity finds each event by scanning the live flows' deadlines
+(``remaining / rate``) and charges every live flow its progress
+(``remaining -= rate * dt``).  Approx fidelity, whose rates change only at
+reallocations, keeps an absolute finish time per flow in a
+:class:`_FinishCalendar` instead: ``remaining`` is brought up to date
+lazily, before each reallocation and at each fault boundary, the flows
+rated by a reallocation are sorted by finish time, and the flows admitted
+since (at inherited rates) wait in a pending buffer the churn bound keeps
+small — so an event costs O(batch + pending + log live) rather than
+O(live).  Exact fidelity keeps the scan: it reallocates every event, so a
+calendar would be re-sorted every event, and its arithmetic is what the
+exact incremental-vs-rebuild suite pins bitwise.  See "Approx deadline
+calendar" in ``docs/simulation-model.md``.
+
 Bandwidth allocations run through a persistent
 :class:`~repro.engine.active.ActiveSet` that maintains the flow→link
 incidence across events (O(changed routes) membership updates, pooled CSR
@@ -39,8 +53,9 @@ empty timeline — no epoch ever fires, no flow ever parks and
 during the run produces bitwise-identical results.  When the next epoch
 boundary lands before the earliest completion, the loop:
 
-* charges every active flow its partial progress up to the boundary
-  (``remaining -= rates * dt``) and jumps time there;
+* brings every active flow's remaining bytes up to date at the boundary
+  (exact: charges ``rates * dt``; approx: the calendar's lazy update from
+  each flow's last update time) and jumps time there;
 * swaps the routing view — the base topology wrapped in the epoch's
   cumulative :class:`~repro.topology.degraded.FaultSet`, or the bare base
   once everything is repaired.  Route caches invalidate *incrementally*:
@@ -179,6 +194,132 @@ def _make_route_fn(topology: Topology, src_ep: np.ndarray, dst_ep: np.ndarray,
             return cands[0]
         return cands[routing_policy.adaptive_index(cands, occupancy())]
     return route_of
+
+
+def _nonfinite_deadline(bad: np.ndarray, fidelity: str,
+                        event: int) -> SimulationError:
+    """The typed error for flows whose completion deadline is undefined.
+
+    A rate the allocator froze at a numerically-zero level (or a 0/0 with
+    an already-drained flow) has no defined deadline.
+    """
+    return SimulationError(
+        f"flow(s) {bad.tolist()[:8]} have a non-finite completion "
+        f"deadline: the allocator froze them at zero rate "
+        f"(fidelity={fidelity!r}, event {event})")
+
+
+class _FinishCalendar:
+    """Absolute finish times of the live flows of an approx-fidelity run.
+
+    Approx fidelity changes a live flow's rate only at reallocations, so
+    between two of them each flow's finish time is fixed, and the next
+    completion batch is a prefix of the flows ordered by finish time.
+    The calendar keeps:
+
+    * ``remaining`` lazily: a flow's entry is exact as of its
+      ``t_ref``; :meth:`sync` charges every live flow its progress since
+      then (one O(live) pass, run before each reallocation and at each
+      fault boundary, the only points where rates or routes change);
+    * the flows rated by the last reallocation, sorted by finish time
+      (:meth:`rebuild`).  Flows leave only from the head, by completing,
+      so a cursor marks it;
+    * a pending buffer of the flows admitted since, each at its inherited
+      rate (:meth:`push`).  The churn rule reallocates once completions
+      plus admissions reach :data:`CHURN_FRACTION` of the allocated set,
+      so the buffer stays that small.
+
+    :meth:`pop` takes the batch inside the tie window from both, so an
+    event costs O(batch + pending + log live) instead of a scan over every
+    live flow.  Finish times are checked finite where they are computed,
+    so a zero or NaN rate raises :func:`_nonfinite_deadline` at the
+    reallocation or admission that produced it.
+    """
+
+    def __init__(self, active: ActiveSet, remaining: np.ndarray) -> None:
+        self._active = active
+        self._remaining = remaining
+        self._t_ref = np.zeros(remaining.shape[0])
+        self._cal_t = np.empty(0)
+        self._cal_f = np.empty(0, dtype=np.int64)
+        self._head = 0
+        self._pend_t = np.empty(64)
+        self._pend_f = np.empty(64, dtype=np.int64)
+        self._npend = 0
+
+    def _finish(self, t: float, fids: np.ndarray, rates: np.ndarray,
+                event: int) -> np.ndarray:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            finish = t + self._remaining[fids] / rates
+        ok = np.isfinite(finish)
+        if not ok.all():
+            raise _nonfinite_deadline(fids[~ok], "approx", event)
+        return finish
+
+    def sync(self, now: float) -> None:
+        """Bring ``remaining`` up to date at ``now`` for every live flow."""
+        ids = self._active.flow_ids
+        self._remaining[ids] -= self._active.rates * (now - self._t_ref[ids])
+        self._t_ref[ids] = now
+
+    def rebuild(self, now: float, event: int) -> None:
+        """Re-plan every live flow from the rates just allocated.
+
+        Requires a :meth:`sync` at ``now`` before the allocation.
+        """
+        ids = self._active.flow_ids
+        finish = self._finish(now, ids, self._active.rates, event)
+        order = np.argsort(finish)  # ties: pop() re-sorts by slot
+        self._cal_t = finish[order]
+        self._cal_f = ids[order]
+        self._head = 0
+        self._npend = 0
+
+    def push(self, fids: np.ndarray, t: float, rates: np.ndarray,
+             event: int) -> None:
+        """Schedule flows admitted at ``t`` at their inherited ``rates``."""
+        finish = self._finish(t, fids, rates, event)
+        self._t_ref[fids] = t
+        k, end = fids.shape[0], self._npend + fids.shape[0]
+        if end > self._pend_t.shape[0]:
+            size = max(end, 2 * self._pend_t.shape[0])
+            self._pend_t = np.resize(self._pend_t, size)
+            self._pend_f = np.resize(self._pend_f, size)
+        self._pend_t[end - k:end] = finish
+        self._pend_f[end - k:end] = fids
+        self._npend = end
+
+    def next_finish(self) -> float:
+        """The earliest finish time of any live flow."""
+        head = float(self._cal_t[self._head]) \
+            if self._head < self._cal_t.shape[0] else math.inf
+        if self._npend:
+            head = min(head, float(self._pend_t[:self._npend].min()))
+        return head
+
+    def pop(self, limit: float) -> tuple[np.ndarray, np.ndarray]:
+        """Remove the flows finishing by ``limit``; return them with their
+        rates in slot order, the batch order of the scan this replaces.
+        The order decides which predecessor a released flow inherits its
+        rate from and the order releases are admitted in, which adaptive
+        route choices see."""
+        h = self._head
+        k = h + int(np.searchsorted(self._cal_t[h:], limit, side="right"))
+        done = self._cal_f[h:k]
+        self._head = k
+        if self._npend:
+            pend_t = self._pend_t[:self._npend]
+            mask = pend_t <= limit
+            if mask.any():
+                pend_f = self._pend_f[:self._npend]
+                done = np.concatenate((done, pend_f[mask]))
+                keep = ~mask
+                self._npend = int(keep.sum())
+                self._pend_t[:self._npend] = pend_t[keep]
+                self._pend_f[:self._npend] = pend_f[keep]
+        slots = self._active.slots_of(done)
+        order = np.argsort(slots)
+        return done[order], self._active.rates[slots[order]]
 
 
 def simulate(topology: Topology, flows: FlowSet, *,
@@ -333,6 +474,11 @@ def _simulate(topology: Topology, flows: FlowSet, *,
     active = ActiveSet(capacities, weighted=weighted,
                        track_occupancy=adaptive, relevel=relevel)
     occ_fn = (lambda: active.occupancy) if adaptive else None
+    # exact fidelity reallocates every event, so its scan over the live
+    # deadlines is already dominated by the fill and stays as it is
+    calendar = _FinishCalendar(active, remaining) \
+        if fidelity == "approx" else None
+    events = 0
 
     if route_cache is None:
         route_cache = {}
@@ -395,6 +541,9 @@ def _simulate(topology: Topology, flows: FlowSet, *,
         Returns the mask of ``fids`` that enter the network (``None``
         when none parked — always, on a healthy run) and their routes.
         """
+        if epoch_idx + 1 >= len(epochs):
+            # no later epoch could reconnect a cut pair: nothing parks
+            return None, [route_of(f) for f in fids.tolist()]
         parked_before = len(parked)
         routes = [route_or_park(f, t) for f in fids.tolist()]
         if len(parked) == parked_before:
@@ -402,15 +551,18 @@ def _simulate(topology: Topology, flows: FlowSet, *,
         keep = np.array([r is not None for r in routes], dtype=bool)
         return keep, [r for r in routes if r is not None]
 
-    def inject(fid: int, t: float, rate: float) -> int:
+    def inject(fid: int, t: float, rate: float | None) -> int:
         """Mark a flow ready at ``t``; zero-hop flows complete instantly.
 
-        A flow whose route is empty (its tasks share an endpoint) never
-        reaches the allocator — an empty route has no bottleneck link, so
-        max-min allocation is undefined for it.  It completes at its
-        release time, which can cascade through chains of co-located
-        dependents; the cascade is iterative to keep deep chains safe.
-        Returns the number of flows that entered the network.
+        ``rate`` is the approx-fidelity inherited rate, which schedules
+        the flow on the finish calendar, or ``None`` when a reallocation
+        rates it before it is read.  A flow whose route is empty (its
+        tasks share an endpoint) never reaches the allocator — an empty
+        route has no bottleneck link, so max-min allocation is undefined
+        for it.  It completes at its release time, which can cascade
+        through chains of co-located dependents; the cascade is iterative
+        to keep deep chains safe.  Returns the number of flows that
+        entered the network.
         """
         nonlocal completed_count
         admitted = 0
@@ -424,8 +576,10 @@ def _simulate(topology: Topology, flows: FlowSet, *,
             if collector is not None:
                 collector.flow_injected(float(flows.size[f]), route.shape[0])
             if route.shape[0]:
-                active.add(f, route, rate=r,
+                active.add(f, route, rate=0.0 if r is None else r,
                            weight=float(weight_arr[f]) if weighted else 1.0)
+                if r is not None:
+                    calendar.push(np.array([f]), t, np.array([r]), events)
                 admitted += 1
                 continue
             completion[f] = t
@@ -453,8 +607,8 @@ def _simulate(topology: Topology, flows: FlowSet, *,
     def admit_batch(ready: np.ndarray, t: float) -> int:
         """Admit a batch of ready flows at ``t`` in one vectorised pass.
 
-        All admitted flows start at ``t`` with a zero seeded rate (every
-        caller reallocates before any rate is read).  Zero-hop flows fall
+        All admitted flows start at ``t`` unrated (every caller
+        reallocates before any rate is read).  Zero-hop flows fall
         back to the per-flow cascade.  Returns the number of flows that
         entered the network.
         """
@@ -465,7 +619,7 @@ def _simulate(topology: Topology, flows: FlowSet, *,
             # vectorised path below (route everything, then add_many)
             # would hide — an entire batch would pile onto one candidate
             for f in ready.tolist():
-                admitted += inject(f, t, 0.0)
+                admitted += inject(f, t, None)
             return admitted
         zero_hop = src_ep[ready] == dst_ep[ready]
         routed = ready[~zero_hop]
@@ -475,7 +629,7 @@ def _simulate(topology: Topology, flows: FlowSet, *,
             admitted += add_batch(routed if keep is None else routed[keep],
                                   route_list)
         for f in ready[zero_hop].tolist():
-            admitted += inject(f, t, 0.0)
+            admitted += inject(f, t, None)
         return admitted
 
     def release_batch(done_ids: np.ndarray, t: float) -> int:
@@ -545,7 +699,10 @@ def _simulate(topology: Topology, flows: FlowSet, *,
         keep, route_list = route_batch(ready, t)
         if keep is not None:
             ready, inherit = ready[keep], inherit[keep]
-        return add_batch(ready, route_list, rates=inherit)
+        admitted = add_batch(ready, route_list, rates=inherit)
+        if admitted:
+            calendar.push(ready, t, inherit, events)
+        return admitted
 
     def apply_epoch(t: float) -> None:
         """Advance to the next epoch and recover the flows it cuts."""
@@ -626,7 +783,6 @@ def _simulate(topology: Topology, flows: FlowSet, *,
     admit_batch(roots, 0.0)
 
     now = 0.0
-    events = 0
     reallocations = 0
     churn = active.size   # everything new -> allocate on first iteration
     alloc_size = 0
@@ -653,6 +809,8 @@ def _simulate(topology: Topology, flows: FlowSet, *,
                 or churn >= max(1.0, CHURN_FRACTION * alloc_size):
             stats: dict | None = {} if collector is not None else None
             t0 = time.perf_counter() if collector is not None else 0.0
+            if calendar is not None:
+                calendar.sync(now)
             active.allocate(stats=stats)
             if collector is not None:
                 assert stats is not None
@@ -667,26 +825,26 @@ def _simulate(topology: Topology, flows: FlowSet, *,
                 collector.record_allocation(active.size, stats["iterations"],
                                             reason,
                                             time.perf_counter() - t0)
+            if calendar is not None:
+                calendar.rebuild(now, events)
             reallocations += 1
             churn = 0
             alloc_size = active.size
             force_alloc = False
 
-        ids = active.flow_ids
         rates = active.rates
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # a zero or NaN rate yields a non-finite deadline, reported as
-            # a typed error below — never as a numpy RuntimeWarning
-            deadlines = remaining[ids] / rates
-        dt = float(deadlines.min())
-        if not np.isfinite(dt):
-            # a rate the allocator froze at a numerically-zero level (or a
-            # 0/0 with an already-drained flow) has no defined deadline
-            bad = ids[~np.isfinite(deadlines)]
-            raise SimulationError(
-                f"flow(s) {bad.tolist()[:8]} have a non-finite completion "
-                f"deadline: the allocator froze them at zero rate "
-                f"(fidelity={fidelity!r}, event {events})")
+        if calendar is None:
+            ids = active.flow_ids
+            with np.errstate(divide="ignore", invalid="ignore"):
+                # a zero or NaN rate yields a non-finite deadline, reported
+                # as a typed error below — never as a numpy RuntimeWarning
+                deadlines = remaining[ids] / rates
+            dt = float(deadlines.min())
+            if not np.isfinite(dt):
+                raise _nonfinite_deadline(ids[~np.isfinite(deadlines)],
+                                          fidelity, events)
+        else:
+            dt = calendar.next_finish() - now
 
         if next_change < now + dt:
             # the fault event fires before the earliest completion: charge
@@ -696,7 +854,10 @@ def _simulate(topology: Topology, flows: FlowSet, *,
             dt_fault = next_change - now
             if collector is not None:
                 collector.account_event(active.route_list(), rates, dt_fault)
-            remaining[ids] -= rates * dt_fault
+            if calendar is None:
+                remaining[ids] -= rates * dt_fault
+            else:
+                calendar.sync(next_change)
             now = next_change
             apply_epoch(now)
             force_alloc = True
@@ -708,14 +869,17 @@ def _simulate(topology: Topology, flows: FlowSet, *,
         # absolute+relative tie window: a pure relative one collapses to a
         # no-op when dt == 0 (simultaneous zero-size flows would then churn
         # one event each instead of batching)
-        done_mask = deadlines <= dt + max(dt, 1.0) * _TIE_EPS
+        window = dt + max(dt, 1.0) * _TIE_EPS
         if collector is not None:
             collector.account_event(active.route_list(), rates, dt)
+        if calendar is None:
+            done_mask = deadlines <= window
+            done_ids = ids[done_mask]    # materialised: removal moves slots
+            done_rates = rates[done_mask]
+            remaining[ids] -= rates * dt
+        else:
+            done_ids, done_rates = calendar.pop(now + window)
         now += dt
-        remaining[ids] -= rates * dt
-
-        done_ids = ids[done_mask]        # materialised: removal moves slots
-        done_rates = rates[done_mask]
         remaining[done_ids] = 0.0
         released = 0
         if fidelity == "exact":
@@ -734,7 +898,7 @@ def _simulate(topology: Topology, flows: FlowSet, *,
                     for succ in flows.successors(fid).tolist():
                         indegree[succ] -= 1
                         if indegree[succ] == 0:
-                            released += inject(succ, now, 0.0)
+                            released += inject(succ, now, None)
             else:
                 # rates are reallocated before any released flow's rate
                 # is read, so the completion batch processes vectorised
@@ -751,7 +915,7 @@ def _simulate(topology: Topology, flows: FlowSet, *,
                         released += inject(succ, now, rate)
         else:
             released = release_inherit(done_ids, done_rates, now)
-        completed_count += int(done_mask.sum())
+        completed_count += done_ids.shape[0]
         events += 1
         if events > max_events:
             raise SimulationError(f"exceeded {max_events} events")
@@ -894,11 +1058,8 @@ def _simulate_rebuild(topology: Topology, flows: FlowSet,
             deadlines = remaining[ids] / rates
         dt = float(deadlines.min())
         if not np.isfinite(dt):
-            bad = ids[~np.isfinite(deadlines)]
-            raise SimulationError(
-                f"flow(s) {bad.tolist()[:8]} have a non-finite completion "
-                f"deadline: the allocator froze them at zero rate "
-                f"(fidelity={fidelity!r}, event {events})")
+            raise _nonfinite_deadline(ids[~np.isfinite(deadlines)],
+                                      fidelity, events)
         done_mask = deadlines <= dt + max(dt, 1.0) * _TIE_EPS
         if collector is not None:
             collector.account_event([routes[f] for f in active], rates, dt)
