@@ -46,7 +46,7 @@ finished — the dominant cost of the ``"exact"`` fidelity.
   only raises water levels, and it provably cannot change any fill
   iteration strictly below ``tmin`` — the lowest recorded level on any
   link of a net-removed route — so a full pass's recorded per-iteration
-  increments (``full_fill`` saves them alongside the levels) can be
+  increments (the full pass saves them alongside the levels) can be
   *replayed* over the handful of links whose occupancy changed and the
   water-level loop resumed at ``tmin`` with only the flows rated above
   it participating.  Rates, levels and the spliced sequences are
@@ -67,7 +67,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.engine import kernels as kernels_mod
+from repro.engine.kernels import numpy_fill
 from repro.engine.maxmin import _SAT_TOL, _slices_concat
 from repro.errors import SimulationError
 
@@ -98,12 +98,8 @@ class ActiveSet:
     def __init__(self, capacities: np.ndarray, *,
                  weighted: bool = False,
                  track_occupancy: bool = False,
-                 kernels: str | None = None,
                  relevel: bool = True) -> None:
         self.capacities = np.asarray(capacities, dtype=np.float64)
-        #: Fill-kernel backend (see :mod:`repro.engine.kernels`); ``None``
-        #: resolves the session default (forced > REPRO_KERNELS > auto).
-        self.kernels = kernels_mod.get(kernels)
         num_links = self.capacities.shape[0]
         self._weighted = bool(weighted)
         #: Per-link live-flow counts, maintained across add/remove when
@@ -561,14 +557,12 @@ class ActiveSet:
         """Rate the flows added since the last allocation from the
         recorded water levels; ``False`` falls back to a full pass.
 
-        The segmented minimum runs through the selected fill-kernel
-        backend (:mod:`repro.engine.kernels`); both backends read the
-        pooled route copies, which hold the same link ids as the interned
-        route arrays."""
+        The segmented minimum reads the pooled route copies, which hold
+        the same link ids as the interned route arrays."""
         if not self._pending_new:
             return True
         pending = np.asarray(self._pending_new, dtype=np.int64)
-        return bool(self.kernels.warm_fill(
+        return bool(numpy_fill.warm_fill(
             self._levels, self._entries, self._starts, self._lens,
             self._slot_arr, pending, self._rates))
 
@@ -606,20 +600,12 @@ class ActiveSet:
         # recorded level along it is the retired twin's exact rate
         # (+inf = bottlenecked only above the threshold; resolved below)
         if self._pending_new:
-            slots = self._slot_arr[
-                np.asarray(self._pending_new, dtype=np.int64)]
-            slots = slots[slots >= 0]
-            if slots.shape[0]:
-                seg_starts = self._starts[slots]
-                seg_lens = self._lens[slots]
-                vals = self._levels[self._entries[_slices_concat(
-                    seg_starts, seg_starts + seg_lens)]]
-                offsets = np.zeros(slots.shape[0], dtype=np.int64)
-                np.cumsum(seg_lens[:-1], out=offsets[1:])
-                mins = np.minimum.reduceat(vals, offsets)
-                if bool((mins <= 0.0).any()):
-                    return -1
-                self._rates[slots] = mins
+            slots, mins = numpy_fill.pending_minima(
+                self._levels, self._entries, self._starts, self._lens,
+                self._slot_arr, np.asarray(self._pending_new, dtype=np.int64))
+            if bool((mins <= 0.0).any()):
+                return -1
+            self._rates[slots] = mins
 
         # flows rated at or above the threshold are re-levelled; all
         # others froze strictly below it and keep their (final) rates
@@ -658,21 +644,28 @@ class ActiveSet:
             self._level_buf = np.empty(act.shape[0], dtype=np.int64)
         seq_d = np.empty(act.shape[0] + 1, dtype=np.float64)
         seq_l = np.empty(act.shape[0] + 1, dtype=np.float64)
+        # partially written rates/levels are fine on either fallback
+        # below: the full pass rewrites every rate and resets every level
+        # in _level_links, which covers the whole suffix
+        if not numpy_fill.replay_prefix(
+                self.capacities, self._sat_floor, self._cap_rem,
+                self._csr_start, self._csr_len, self._csr_flows,
+                self._slot_arr, self._rates, act, self._delta_seq,
+                self._level_seq, k):
+            # a replayed link saturated inside the prefix: the
+            # invariance proof does not hold, take the full pass
+            return -1
         frozen = self._slot_flag  # borrowed scratch, reset on exit
         try:
-            status, iterations, _ = self.kernels.relevel_fill(
-                self.capacities, self._sat_floor, self._cap_rem, counts,
-                self._levels, self._csr_start, self._csr_len,
-                self._csr_flows, self._entries, self._starts, self._lens,
-                self._slot_arr, self._rates, frozen, act,
-                self._delta_seq, self._level_seq, k, level0, tmin, npart,
+            status, iterations, _ = numpy_fill.water_fill(
+                self._sat_floor, self._cap_rem, counts, self._levels,
+                self._csr_start, self._csr_len, self._csr_flows,
+                self._entries, self._starts, self._lens, self._slot_arr,
+                self._rates, frozen, None, act, level0, npart, tmin,
                 self._level_buf, seq_d, seq_l)
         finally:
             frozen[:m] = False
         if status != 0:
-            # partially written rates/levels are fine: the full pass this
-            # falls back to rewrites every rate and resets every level in
-            # _level_links, which covers the whole suffix
             return -1
         self._delta_seq = np.concatenate(
             (self._delta_seq[:k], seq_d[:iterations]))
@@ -753,13 +746,9 @@ class ActiveSet:
         is amortised O(total route length) per pass — the water-level
         iteration count does not multiply it — and when the CSR survived
         the event's membership patches, the pass skips the O(nnz)
-        gather/sort/occupancy setup entirely.
-
-        The water-level loop itself runs through the selected fill-kernel
-        backend (:mod:`repro.engine.kernels`): the pure-NumPy reference,
-        or its numba-compiled mirror when the ``[fast]`` extra is
-        installed — both bitwise-identical by construction and by the
-        ``kernel_diff`` test suite.
+        gather/sort/occupancy setup entirely.  The water-level loop is
+        :func:`repro.engine.kernels.numpy_fill.water_fill`, started at
+        level zero with every flow unfrozen.
         """
         m = self._m
         counts = self._counts
@@ -787,13 +776,12 @@ class ActiveSet:
 
         frozen = self._slot_flag  # borrowed scratch, reset on exit
         try:
-            status, iterations, nsat = self.kernels.full_fill(
-                self.capacities, self._sat_floor, self._cap_rem, counts,
-                self._levels, self._csr_start, self._csr_len,
-                self._csr_flows, self._entries, self._starts, self._lens,
-                self._slot_arr, self._rates, frozen, self._weights,
-                self._weighted, m, act, self._level_buf,
-                self._seq_buf_d, self._seq_buf_l)
+            status, iterations, nsat = numpy_fill.water_fill(
+                self._sat_floor, self._cap_rem, counts, self._levels,
+                self._csr_start, self._csr_len, self._csr_flows,
+                self._entries, self._starts, self._lens, self._slot_arr,
+                self._rates, frozen, weights, act, 0.0, m,
+                None, self._level_buf, self._seq_buf_d, self._seq_buf_l)
         finally:
             frozen[:m] = False
 
@@ -813,34 +801,6 @@ class ActiveSet:
             self._seq_ok = bool(
                 (np.diff(self._level_seq) > 0.0).all())
         return iterations
-
-    # --------------------------------------------------- rebuild baseline
-    def gather_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """The rebuild-per-event CSR of the reference engine.
-
-        Deliberately reproduces the historical per-event cost (a Python
-        list of routes concatenated from scratch) so benchmarks can
-        compare the incremental path against the true baseline.
-        """
-        route_list = self.route_list()
-        if not route_list:
-            return (np.empty(0, dtype=np.int64),
-                    np.zeros(1, dtype=np.int64))
-        entries = np.concatenate(route_list)
-        ptr = np.zeros(len(route_list) + 1, dtype=np.int64)
-        np.cumsum([r.shape[0] for r in route_list], out=ptr[1:])
-        return entries, ptr
-
-    def set_rates(self, rates: np.ndarray) -> None:
-        """Install externally computed rates (slot order)."""
-        if rates.shape[0] != self._m:
-            raise SimulationError(
-                f"rates vector has {rates.shape[0]} entries for "
-                f"{self._m} active flows")
-        self._rates[:self._m] = rates
-        # external rates invalidate the recorded water levels
-        self._have_levels = False
-        self._seq_ok = False
 
     # ------------------------------------------------------------- plumbing
     def _grow_slots(self) -> None:

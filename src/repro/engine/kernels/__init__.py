@@ -1,115 +1,17 @@
-"""Compiled fill kernels behind a pure-NumPy fallback.
+"""Progressive-filling kernels of the incremental allocator.
 
-The progressive-filling water-level loop and the warm-fill replay are the
-engine's two allocation hot spots.  This package isolates them behind a
-tiny backend interface so they can be swapped for compiled (numba)
-versions without touching :class:`~repro.engine.active.ActiveSet`:
-
-* :mod:`repro.engine.kernels.numpy_fill` — the reference implementation.
-  Pure NumPy, always available, and the semantics every other backend is
-  differential-tested against (``pytest -m kernel_diff``).
-* :mod:`repro.engine.kernels.numba_fill` — ``@njit`` mirrors of the same
-  loops, available only when the optional ``[fast]`` extra
-  (``pip install repro[fast]``) is installed.  Every float operation is
-  ordered exactly as in the NumPy backend, so the two produce
-  **bitwise-identical** rates, water levels and iteration counts.
-
-Backend selection
------------------
-:func:`get` resolves a backend by name; ``None`` means the session
-default, which is:
-
-1. :func:`use`'s forced backend, when inside that context manager
-   (tests use this to pin a backend without threading arguments through
-   the engine);
-2. the ``REPRO_KERNELS`` environment variable (``numpy`` / ``numba`` /
-   ``auto``) otherwise;
-3. ``auto`` — numba when importable, numpy fallback — when unset.
-
-Requesting ``numba`` explicitly when the extra is missing raises a typed
-:class:`~repro.errors.SimulationError` naming the install hint; ``auto``
-silently falls back, so ``pip install repro`` stays dependency-light and
-every kernel always has a pure-NumPy fallback.
+:mod:`repro.engine.kernels.numpy_fill` holds the water-level loop, the
+warm-fill replay and the relevel's prefix replay that
+:class:`~repro.engine.active.ActiveSet` runs on every allocation.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-
-from repro.errors import SimulationError
-
-_BACKENDS = ("numpy", "numba")
-
-#: Forced backend installed by :func:`use` (tests); ``None`` = not forced.
-_forced: str | None = None
-
-
-def _numba_module():
-    """The numba backend module, or ``None`` when the extra is missing."""
-    try:
-        from repro.engine.kernels import numba_fill
-    except ImportError:
-        return None
-    return numba_fill if numba_fill.AVAILABLE else None
-
-
-def available() -> tuple[str, ...]:
-    """Names of the backends importable in this environment."""
-    return _BACKENDS if _numba_module() is not None else ("numpy",)
-
 
 def default_name() -> str:
-    """The backend name ``get(None)`` resolves to right now."""
-    if _forced is not None:
-        return _forced
-    env = os.environ.get("REPRO_KERNELS", "auto").strip().lower()
-    if env in ("", "auto"):
-        return "numba" if _numba_module() is not None else "numpy"
-    if env not in _BACKENDS:
-        raise SimulationError(
-            f"REPRO_KERNELS={env!r} is not a kernel backend; expected "
-            f"'auto', 'numpy' or 'numba'")
-    return env
+    """Name of the fill implementation, always ``"numpy"``.
 
-
-def get(name: str | None = None):
-    """Resolve a kernel backend module by name (``None`` = default).
-
-    The returned module exposes ``full_fill``, ``warm_fill`` and
-    ``relevel_fill`` (see :mod:`repro.engine.kernels.numpy_fill` for the
-    contract) plus a ``NAME`` attribute.
+    Kept because the benchmark harness records it as ``kernel_backend``
+    in every host record (``perfbench/common.py``).
     """
-    if name is None:
-        name = default_name()
-    if name == "numpy":
-        from repro.engine.kernels import numpy_fill
-        return numpy_fill
-    if name == "numba":
-        mod = _numba_module()
-        if mod is None:
-            raise SimulationError(
-                "kernel backend 'numba' requested but numba is not "
-                "installed; pip install 'repro[fast]' or use "
-                "REPRO_KERNELS=numpy")
-        return mod
-    raise SimulationError(
-        f"unknown kernel backend {name!r}; expected one of {_BACKENDS}")
-
-
-@contextmanager
-def use(name: str):
-    """Force every default-constructed ActiveSet onto one backend.
-
-    The differential-test harness runs the same simulation under
-    ``use("numpy")`` and ``use("numba")`` and asserts bitwise-identical
-    results; see ``tests/difftest.py``.
-    """
-    global _forced
-    get(name)  # validate (and fail fast on a missing extra)
-    prev = _forced
-    _forced = name
-    try:
-        yield
-    finally:
-        _forced = prev
+    return "numpy"

@@ -18,7 +18,8 @@ Error mapping is typed end to end:
 field), :class:`~repro.errors.QueueFullError` → 429 with the queue
 ``capacity`` and ``depth`` so clients can back off deliberately.
 Malformed framing — a non-numeric, negative, or conflicting-duplicate
-``Content-Length`` — is a 400 before the body is read, never a 500.
+``Content-Length`` — is a 400 before the body is read, never a 500; so
+is a body that is not UTF-8 JSON or nests too deeply to parse.
 
 Connections are one-request (``Connection: close``): the service's unit
 of work is a simulation measured in seconds, so connection reuse buys
@@ -180,7 +181,9 @@ class ServiceServer:
     async def _submit(self, body: bytes) -> tuple[int, dict]:
         try:
             doc = json.loads(body or b"null")
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError,
+                RecursionError) as exc:
+            # RecursionError: nesting deeper than the parser's stack
             return 400, {"error": "ProtocolError",
                          "message": f"undecodable JSON body: {exc}"}
         wait = isinstance(doc, dict) and bool(doc.pop("wait", False))

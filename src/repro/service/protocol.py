@@ -25,6 +25,7 @@ different configurations never alias.
 
 from __future__ import annotations
 
+import sys
 from typing import Any
 
 from repro.core.config import TopologySpec, WorkloadSpec
@@ -58,6 +59,33 @@ def _require(doc: dict, field: str, kinds, where: str) -> Any:
             f"{where}: field {field!r} must be {names}, "
             f"got {type(value).__name__}")
     return value
+
+
+def _count(doc: dict, field: str, where: str) -> int:
+    """A non-negative, non-bool integer field (default 0)."""
+    value = doc.get(field, 0)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ProtocolError(
+            f"{where}: field {field!r} must be a non-negative integer, "
+            f"got {value!r}")
+    return value
+
+
+def _seconds(doc: dict, field: str, where: str,
+             default: float | None) -> float | None:
+    """A finite, strictly positive number of seconds (``default`` when
+    absent).  ``None`` is accepted only for an optional field, one whose
+    ``default`` is ``None``."""
+    value = doc.get(field, default)
+    if value is None and default is None:
+        return None
+    # the upper bound also rejects ints too large to convert to a float
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not 0 < value <= sys.float_info.max:
+        raise ProtocolError(
+            f"{where}: field {field!r} must be a finite positive number, "
+            f"got {value!r}")
+    return float(value)
 
 
 def cell_to_json(cell: SweepCell) -> dict:
@@ -103,7 +131,8 @@ def cell_from_json(doc: Any, *, where: str = "cell") -> SweepCell:
             f"{where}: unknown workload {workload!r}; "
             f"available: {wl_available()}")
     tasks = doc.get("tasks")
-    if tasks is not None and (not isinstance(tasks, int) or tasks < 1):
+    if tasks is not None and (isinstance(tasks, bool)
+                              or not isinstance(tasks, int) or tasks < 1):
         raise ProtocolError(
             f"{where}: field 'tasks' must be a positive integer or null, "
             f"got {tasks!r}")
@@ -140,15 +169,9 @@ def cell_from_json(doc: Any, *, where: str = "cell") -> SweepCell:
         if not isinstance(faults, dict):
             raise ProtocolError(
                 f"{where}: field 'faults' must be an object or null")
-        for field in ("cables", "uplinks", "seed"):
-            value = faults.get(field, 0)
-            if not isinstance(value, int) or value < 0:
-                raise ProtocolError(
-                    f"{where}: field 'faults.{field}' must be a "
-                    f"non-negative integer, got {value!r}")
-        fail_links = faults.get("cables", 0)
-        fail_uplinks = faults.get("uplinks", 0)
-        fail_seed = faults.get("seed", 0)
+        fail_links = _count(faults, "cables", f"{where}.faults")
+        fail_uplinks = _count(faults, "uplinks", f"{where}.faults")
+        fail_seed = _count(faults, "seed", f"{where}.faults")
 
     timeline = None
     tl_doc = doc.get("timeline")
@@ -156,17 +179,13 @@ def cell_from_json(doc: Any, *, where: str = "cell") -> SweepCell:
         if not isinstance(tl_doc, dict):
             raise ProtocolError(
                 f"{where}: field 'timeline' must be an object or null")
-        try:
-            timeline = TimelineSpec(
-                cables=int(tl_doc.get("cables", 0)),
-                uplinks=int(tl_doc.get("uplinks", 0)),
-                seed=int(tl_doc.get("seed", 0)),
-                horizon=float(tl_doc.get("horizon", 1.0)),
-                mttr=(None if tl_doc.get("mttr") is None
-                      else float(tl_doc["mttr"])))
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError(
-                f"{where}: invalid timeline: {exc}") from None
+        tl_where = f"{where}.timeline"
+        timeline = TimelineSpec(
+            cables=_count(tl_doc, "cables", tl_where),
+            uplinks=_count(tl_doc, "uplinks", tl_where),
+            seed=_count(tl_doc, "seed", tl_where),
+            horizon=_seconds(tl_doc, "horizon", tl_where, 1.0),
+            mttr=_seconds(tl_doc, "mttr", tl_where, None))
 
     try:
         return SweepCell(

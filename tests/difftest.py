@@ -1,29 +1,30 @@
-"""Differential-test harness for engine-equivalence suites.
+"""Differential-test helpers for the engine-equivalence suites.
 
-Two suites drive this module:
-
-* ``tests/test_kernel_diff.py`` runs one scenario under every *available*
-  fill-kernel backend (:func:`repro.engine.kernels.use` pins the backend
-  for every :class:`~repro.engine.active.ActiveSet` the scenario builds)
-  and asserts the results are bitwise-identical;
-* ``tests/test_batched_loop.py`` runs one scenario under the vectorised
-  and the historical per-flow completion walks (the event loop's
-  ``per_flow`` switch) with the same assertion.
-
-"Bitwise-identical" here means every float in the
-:class:`~repro.engine.results.SimulationResult` compares equal (NaN
-patterns included), not merely close: the compiled kernels and the
-batched event loop are specified as *exact* replacements, so any ULP of
-drift is a bug, not noise.
+* :func:`assert_results_identical` pins two runs of one scenario to
+  bitwise-identical results — the batched vs per-flow event loop
+  (``tests/test_batched_loop.py``), relevel vs full passes
+  (``tests/test_exact_batch.py``, ``tests/test_kernel_diff.py``).
+  "Bitwise-identical" means every float in the
+  :class:`~repro.engine.results.SimulationResult` compares equal (NaN
+  patterns included), not merely close: those paths are specified as
+  *exact* replacements, so any ULP of drift is a bug, not noise.
+* :func:`assert_matches_rebuild` runs one scenario on the incremental
+  and the historical rebuild engine and compares them at the suites'
+  tolerances.
+* :func:`reference_rates` recomputes an
+  :class:`~repro.engine.active.ActiveSet`'s allocation from scratch with
+  the reference :func:`repro.engine.maxmin.allocate`.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
-from repro.engine import kernels
+import pytest
+
+from repro.engine import simulate
+from repro.engine.active import ActiveSet
+from repro.engine.maxmin import allocate
 from repro.engine.results import SimulationResult
 
 
@@ -47,40 +48,26 @@ def assert_results_identical(a: SimulationResult, b: SimulationResult,
         f"{ctx} transient counters {a.transient} != {b.transient}"
 
 
-def assert_same_allocator_work(a: SimulationResult,
-                               b: SimulationResult,
-                               label_a: str, label_b: str) -> None:
-    """Assert two runs did the same full-pass/warm-fill split.
-
-    Separate from :func:`assert_results_identical` because the per-flow
-    and batched event loops legitimately differ here (admission
-    granularity changes how often the warm path applies) while kernel
-    backends must not.
-    """
-    ctx = f"[{label_a} vs {label_b}]"
-    for key in ("full_passes", "warm_fills", "relevel_fills"):
-        assert a.allocator_stats[key] == b.allocator_stats[key], \
-            (f"{ctx} allocator_stats[{key!r}] "
-             f"{a.allocator_stats[key]} != {b.allocator_stats[key]}")
+def assert_matches_rebuild(topology, flows, **kwargs) -> SimulationResult:
+    """Incremental vs rebuild engine on one scenario: event and
+    reallocation counts equal, makespan to 1e-12 relative, completion
+    times to 1e-9.  Returns the incremental result."""
+    inc = simulate(topology, flows, **kwargs)
+    reb = simulate(topology, flows, allocator="rebuild", **kwargs)
+    assert inc.events == reb.events
+    assert inc.reallocations == reb.reallocations
+    assert inc.makespan == pytest.approx(reb.makespan, rel=1e-12)
+    np.testing.assert_allclose(inc.completion_times, reb.completion_times,
+                               rtol=1e-9)
+    return inc
 
 
-def run_all_backends(scenario: Callable[[], SimulationResult]
-                     ) -> tuple[SimulationResult, list[str]]:
-    """Run ``scenario`` once per available kernel backend and diff.
-
-    The numpy reference backend always runs (and runs *first*), so the
-    pure-NumPy path is exercised even on machines with the ``[fast]``
-    extra installed.  Returns the reference result and the list of
-    backends exercised.
-    """
-    names = list(kernels.available())
-    assert names[0] == "numpy"
-    results: list[tuple[str, SimulationResult]] = []
-    for name in names:
-        with kernels.use(name):
-            results.append((name, scenario()))
-    base_name, base = results[0]
-    for name, other in results[1:]:
-        assert_results_identical(base, other, base_name, name)
-        assert_same_allocator_work(base, other, base_name, name)
-    return base, names
+def reference_rates(active: ActiveSet, capacities: np.ndarray,
+                    weighted: bool) -> np.ndarray:
+    """Reference allocation over the set's current flows (slot order),
+    on a CSR concatenated from :meth:`ActiveSet.route_list`."""
+    routes = active.route_list()
+    ptr = np.zeros(len(routes) + 1, dtype=np.int64)
+    np.cumsum([r.shape[0] for r in routes], out=ptr[1:])
+    return allocate(np.concatenate(routes), ptr, capacities,
+                    active.weights.copy() if weighted else None)

@@ -5,7 +5,8 @@ as the reference :func:`repro.engine.maxmin.allocate` on whatever flow set
 it currently holds — after any interleaving of admissions and retirements,
 on every topology family, with and without weights, through the warm path
 and the full pass alike.  These tests drive it through randomized churn
-and compare against the reference on the CSR the set itself gathers.
+and compare against the reference on a CSR built from the set's
+:meth:`~repro.engine.active.ActiveSet.route_list`.
 """
 
 from __future__ import annotations
@@ -16,18 +17,10 @@ import pytest
 from repro.engine import simulate
 from repro.engine.active import ActiveSet
 from repro.engine.flows import FlowBuilder
-from repro.engine.maxmin import allocate
 from repro.errors import SimulationError
 from repro.units import DEFAULT_LINK_CAPACITY as CAP
 from repro.workloads import AllReduce, Permutation, UnstructuredApp
-
-
-def _reference_rates(active: ActiveSet, capacities: np.ndarray,
-                     weighted: bool) -> np.ndarray:
-    """Reference allocation over the set's current flows (slot order)."""
-    entries, ptr = active.gather_csr()
-    return allocate(entries, ptr, capacities,
-                    active.weights.copy() if weighted else None)
+from tests.difftest import assert_matches_rebuild, reference_rates
 
 
 def _random_route(topo, rng, route_cache):
@@ -87,12 +80,6 @@ class TestMembership:
         with pytest.raises(SimulationError):
             active.remove(99)
 
-    def test_set_rates_length_checked(self):
-        active = ActiveSet(np.ones(2))
-        active.add(0, np.array([0], dtype=np.int64))
-        with pytest.raises(SimulationError):
-            active.set_rates(np.zeros(3))
-
     def test_empty_allocation_is_noop(self):
         active = ActiveSet(np.ones(2))
         stats: dict = {}
@@ -122,7 +109,7 @@ class TestChurnMatchesReference:
                     next_fid += 1
                 if active.size and step % 3 == 0:
                     got = active.allocate().copy()
-                    want = _reference_rates(active, caps, weighted=False)
+                    want = reference_rates(active, caps, weighted=False)
                     np.testing.assert_allclose(got, want, rtol=1e-12)
             # the sequence must have taken both code paths at least once
             assert active.full_passes > 0
@@ -146,7 +133,7 @@ class TestChurnMatchesReference:
                 next_fid += 1
             if active.size and step % 3 == 0:
                 got = active.allocate().copy()
-                want = _reference_rates(active, caps, weighted=True)
+                want = reference_rates(active, caps, weighted=True)
                 np.testing.assert_allclose(got, want, rtol=1e-9)
         assert active.warm_fills == 0  # weighted sets never warm-fill
 
@@ -170,7 +157,7 @@ class TestChurnMatchesReference:
                 next_fid += 1
             if active.size and step % 25 == 0:
                 got = active.allocate().copy()
-                want = _reference_rates(active, caps, weighted=False)
+                want = reference_rates(active, caps, weighted=False)
                 np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
@@ -194,7 +181,7 @@ class TestWarmPath:
         got = active.allocate(stats=stats).copy()
         assert stats["warm"] is True and stats["iterations"] == 0
         assert active.warm_fills == 1 and active.full_passes == 1
-        want = _reference_rates(active, caps, weighted=False)
+        want = reference_rates(active, caps, weighted=False)
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_changed_multiset_takes_full_pass(self, small_torus):
@@ -209,21 +196,6 @@ class TestWarmPath:
         active.allocate(stats=stats)
         assert stats["warm"] is False
         assert active.full_passes == 2
-
-    def test_set_rates_invalidates_levels(self, small_torus):
-        caps = small_torus.links.capacities
-        r1 = np.asarray(small_torus.route(0, 5), dtype=np.int64)
-        active = ActiveSet(caps)
-        active.add(0, r1)
-        active.allocate()
-        entries, ptr = active.gather_csr()
-        active.set_rates(allocate(entries, ptr, caps))
-        active.remove(0)
-        active.add(1, r1)
-        stats: dict = {}
-        active.allocate(stats=stats)
-        # externally installed rates poison the recorded water levels
-        assert stats["warm"] is False
 
 
 class TestSimulatorEquivalence:
@@ -240,15 +212,7 @@ class TestSimulatorEquivalence:
             for make in self.WORKLOADS:
                 flows = make(topo.num_endpoints)
                 for fidelity in ("exact", "approx"):
-                    inc = simulate(topo, flows, fidelity=fidelity)
-                    reb = simulate(topo, flows, fidelity=fidelity,
-                                   allocator="rebuild")
-                    assert inc.events == reb.events
-                    assert inc.makespan == \
-                        pytest.approx(reb.makespan, rel=1e-12)
-                    np.testing.assert_allclose(
-                        inc.completion_times, reb.completion_times,
-                        rtol=1e-9)
+                    assert_matches_rebuild(topo, flows, fidelity=fidelity)
 
     def test_weighted_flows_agree(self, small_torus):
         b = FlowBuilder(8)

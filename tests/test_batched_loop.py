@@ -11,7 +11,7 @@ bitwise-identical :class:`~repro.engine.results.SimulationResult`s:
 3 workloads x 2 fidelities x 3 routing policies, healthy and transient.
 
 These are regression tests for the *loop*, not the allocator — the
-kernel backends have their own differential suite (``-m kernel_diff``).
+fill kernels have their own differential suite (``-m kernel_diff``).
 """
 
 from __future__ import annotations

@@ -34,7 +34,7 @@ from repro.topology import FaultEvent, FaultTimeline, TorusTopology
 from repro.units import DEFAULT_LINK_CAPACITY as CAP
 from repro.workloads import AllReduce, Permutation, UnstructuredApp
 from repro.workloads import build as build_workload
-from tests.difftest import assert_results_identical
+from tests.difftest import assert_matches_rebuild, assert_results_identical
 
 _WORKLOADS = {
     "allreduce": lambda n: AllReduce(n).build(),
@@ -58,25 +58,12 @@ def _zero_sized(flows, fids):
     return replace(flows, size=size)
 
 
-def _assert_matches_rebuild(topo, flows, placement=None):
-    """The suite's incremental-vs-rebuild tolerances, approx fidelity."""
-    inc = simulate(topo, flows, placement=placement, fidelity="approx")
-    reb = simulate(topo, flows, placement=placement, fidelity="approx",
-                   allocator="rebuild")
-    assert inc.events == reb.events
-    assert inc.reallocations == reb.reallocations
-    assert inc.makespan == pytest.approx(reb.makespan, rel=1e-12)
-    np.testing.assert_allclose(inc.completion_times, reb.completion_times,
-                               rtol=1e-9)
-    return inc
-
-
 class TestMatchesRebuild:
     @pytest.mark.parametrize("workload", sorted(_WORKLOADS))
     def test_identity_placement(self, all_small_topologies, workload):
         for topo in all_small_topologies:
             flows = _WORKLOADS[workload](topo.num_endpoints)
-            result = _assert_matches_rebuild(topo, flows)
+            result = assert_matches_rebuild(topo, flows, fidelity="approx")
             assert np.isfinite(result.completion_times).all()
 
     @pytest.mark.parametrize("workload", sorted(_WORKLOADS))
@@ -95,7 +82,8 @@ class TestMatchesRebuild:
                 placement[d] = placement[s]
             zero_hop = placement[flows.src] == placement[flows.dst]
             assert zero_hop.any()
-            result = _assert_matches_rebuild(topo, flows, placement)
+            result = assert_matches_rebuild(topo, flows, fidelity="approx",
+                                            placement=placement)
             assert (result.completion_times[zero_hop]
                     == result.start_times[zero_hop]).all()
 
@@ -103,7 +91,8 @@ class TestMatchesRebuild:
         """The calendar actually serves events without reallocating."""
         flows = build_workload("unstructuredhr",
                                small_nesttree.num_endpoints, seed=1).build()
-        result = _assert_matches_rebuild(small_nesttree, flows)
+        result = assert_matches_rebuild(small_nesttree, flows,
+                                        fidelity="approx")
         assert result.reallocations < result.events
 
 
@@ -139,7 +128,7 @@ class TestTieWindow:
 
     def test_batches_match_rebuild(self, line):
         flows, roots, x, z, y = self._flows()
-        result = _assert_matches_rebuild(line, flows)
+        result = assert_matches_rebuild(line, flows, fidelity="approx")
         ct = result.completion_times
         assert result.events == 6
         assert (ct[roots] == 0.0).all()

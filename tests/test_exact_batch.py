@@ -209,11 +209,3 @@ class TestRelevelUnit:
         active.remove(2)
         active.allocate()
         assert active.relevel_fills == 0 and active.full_passes == 2
-
-    def test_set_rates_invalidates_resume_state(self, small_nesttree):
-        active = self._filled_set(small_nesttree)
-        active.set_rates(active.rates.copy())
-        active.remove(4)
-        active.allocate()
-        assert active.relevel_fills == 0
-        assert active.full_passes == 2

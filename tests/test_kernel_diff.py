@@ -1,39 +1,37 @@
-"""Differential tests for the fill-kernel backends (``-m kernel_diff``).
+"""Differential tests for the engine's fill kernels (``-m kernel_diff``).
 
-The compiled (numba) kernels are specified as bitwise-exact replacements
-for the pure-NumPy reference — same rates, same water levels, same
-iteration counts, same simulation results.  This suite checks that claim
-three ways:
+The incremental allocator's fills (:mod:`repro.engine.kernels.numpy_fill`:
+the full pass, warm fill and suffix-resumed relevel) must reproduce an
+independent oracle.  Every test here compares against one:
 
-* end-to-end simulations across every engine-supported topology family,
-  both fidelities and all three routing policies;
+* end-to-end simulations against the historical rebuild engine
+  (``allocator="rebuild"``) across every engine-supported topology
+  family, both fidelities, all three routing policies and a weighted
+  workload; the fault-timeline case, which the rebuild engine does not
+  support, against the per-flow event loop instead;
 * a Hypothesis property pushing randomized churn through
-  :class:`~repro.engine.active.ActiveSet` under each backend, comparing
-  rates bitwise after every allocation *and* against the reference
-  :func:`repro.engine.maxmin.allocate`;
-* dispatcher behaviour: ``REPRO_KERNELS`` resolution, the forced-backend
-  context manager, and the typed error when the ``[fast]`` extra is
-  requested but missing.
-
-On a machine without the ``[fast]`` extra only the numpy legs run (the
-cross-backend comparisons become no-ops but the reference checks still
-bite); with it installed, every case runs under both backends.  CI runs
-this suite in both environments.
+  :class:`~repro.engine.active.ActiveSet`, comparing rates after every
+  allocation against the reference :func:`repro.engine.maxmin.allocate`;
+* a Hypothesis property for the relevel's near-identical churn,
+  comparing every allocation bitwise against a twin set with the
+  relevel disabled (full passes only).
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.difftest import run_all_backends
-from repro.engine import kernels, simulate
+from repro.engine import simulate
 from repro.engine.active import ActiveSet
-from repro.engine.maxmin import allocate
-from repro.errors import SimulationError
+from repro.engine.simulator import _simulate
 from repro.workloads import build as build_workload
+from tests.difftest import (assert_matches_rebuild, assert_results_identical,
+                            reference_rates)
 
 pytestmark = pytest.mark.kernel_diff
 
@@ -62,14 +60,8 @@ def _family_topo(family: str):
     return topo
 
 
-def _reference_rates(active: ActiveSet, capacities, weighted):
-    entries, ptr = active.gather_csr()
-    return allocate(entries, ptr, capacities,
-                    active.weights.copy() if weighted else None)
-
-
 class TestSimulationDiff:
-    """End-to-end: same SimulationResult under every backend."""
+    """End-to-end: the incremental fills against an independent engine."""
 
     @pytest.mark.parametrize("family", _FAMILIES)
     @pytest.mark.parametrize("fidelity", ("exact", "approx"))
@@ -77,22 +69,25 @@ class TestSimulationDiff:
         topo = request.getfixturevalue(family)
         flows = build_workload("allreduce", topo.num_endpoints,
                                seed=0).build()
-        run_all_backends(lambda: simulate(topo, flows, fidelity=fidelity))
+        assert_matches_rebuild(topo, flows, fidelity=fidelity)
 
     @pytest.mark.parametrize("routing",
                              ("deterministic", "ecmp", "adaptive"))
     def test_unstructured_all_policies(self, small_nesttree, routing):
         flows = build_workload("unstructuredhr",
                                small_nesttree.num_endpoints, seed=1).build()
-        run_all_backends(lambda: simulate(small_nesttree, flows,
-                                          fidelity="approx",
-                                          routing=routing))
+        assert_matches_rebuild(small_nesttree, flows, fidelity="approx",
+                                routing=routing)
 
     def test_weighted_flows(self, small_fattree):
-        builder = build_workload("mapreduce", small_fattree.num_endpoints,
-                                 seed=2)
-        flows = builder.build()
-        run_all_backends(lambda: simulate(small_fattree, flows))
+        # no stock workload carries weights: give mapreduce's flows
+        # seeded ones so the fills take their weighted branches
+        flows = build_workload("mapreduce", small_fattree.num_endpoints,
+                               seed=2).build()
+        rng = np.random.default_rng(2)
+        flows = replace(flows, weight=rng.uniform(0.5, 3.0, flows.num_flows))
+        for fidelity in ("exact", "approx"):
+            assert_matches_rebuild(small_fattree, flows, fidelity=fidelity)
 
     def test_transient_timeline(self, small_nesttree):
         from repro.topology import FaultTimeline
@@ -102,14 +97,16 @@ class TestSimulationDiff:
         tl = FaultTimeline.sample(small_nesttree, cables=4, seed=3,
                                   horizon=base.makespan * 0.8,
                                   mttr=base.makespan * 0.25)
-        result, _ = run_all_backends(
-            lambda: simulate(small_nesttree, flows, fidelity="approx",
-                             fault_timeline=tl))
-        assert result.transient["fault_events"] > 0
+        batched = _simulate(small_nesttree, flows, fidelity="approx",
+                            fault_timeline=tl, per_flow=False)
+        per_flow = _simulate(small_nesttree, flows, fidelity="approx",
+                             fault_timeline=tl, per_flow=True)
+        assert_results_identical(batched, per_flow, "batched", "per-flow")
+        assert batched.transient["fault_events"] > 0
 
 
 class TestChurnProperty:
-    """Hypothesis: random churn keeps every backend bitwise on-reference."""
+    """Hypothesis: random churn keeps the fills on the reference."""
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1),
@@ -122,71 +119,44 @@ class TestChurnProperty:
         rng = np.random.default_rng(seed)
         n = topo.num_endpoints
 
-        # one churn script, replayed identically under every backend
-        script: list[tuple] = []
+        route_cache: dict = {}
         alive: list[int] = []
         next_fid = 0
-        for _ in range(steps):
+        active = ActiveSet(caps, weighted=weighted)
+        for i in range(steps):
             if alive and rng.random() < 0.45:
                 idx = int(rng.integers(len(alive)))
-                script.append(("remove", alive.pop(idx)))
+                active.remove(alive.pop(idx))
             else:
                 s = int(rng.integers(n))
                 d = int(rng.integers(n))
                 while d == s:
                     d = int(rng.integers(n))
                 w = float(rng.uniform(0.5, 4.0)) if weighted else 1.0
-                script.append(("add", next_fid, s, d, w))
+                route = route_cache.get((s, d))
+                if route is None:
+                    route = np.asarray(topo.route(s, d), dtype=np.int64)
+                    route_cache[(s, d)] = route
+                active.add(next_fid, route, weight=w)
                 alive.append(next_fid)
                 next_fid += 1
-
-        route_cache: dict = {}
-        rates_by_backend: dict[str, list] = {}
-        for backend in kernels.available():
-            rates_log: list[np.ndarray] = []
-            with kernels.use(backend):
-                active = ActiveSet(caps, weighted=weighted)
-                for i, op in enumerate(script):
-                    if op[0] == "remove":
-                        active.remove(op[1])
-                    else:
-                        _, fid, s, d, w = op
-                        key = (s, d)
-                        route = route_cache.get(key)
-                        if route is None:
-                            route = np.asarray(topo.route(s, d),
-                                               dtype=np.int64)
-                            route_cache[key] = route
-                        active.add(fid, route, weight=w)
-                    if active.size and i % 3 == 0:
-                        got = active.allocate().copy()
-                        want = _reference_rates(active, caps, weighted)
-                        if backend == "numpy":
-                            # warm fills may diverge from a cold reference
-                            # allocation only within float tolerance
-                            np.testing.assert_allclose(
-                                got, want,
-                                rtol=1e-12 if not weighted else 1e-9)
-                        rates_log.append(got)
-            rates_by_backend[backend] = rates_log
-        base = rates_by_backend["numpy"]
-        for backend, log in rates_by_backend.items():
-            assert len(log) == len(base)
-            for i, (a, b) in enumerate(zip(base, log)):
-                np.testing.assert_array_equal(
-                    a, b,
-                    err_msg=f"rates diverge at allocation {i} "
-                            f"(numpy vs {backend})")
+            if active.size and i % 3 == 0:
+                got = active.allocate().copy()
+                want = reference_rates(active, caps, weighted)
+                # warm fills may diverge from a cold reference allocation
+                # only within float tolerance
+                np.testing.assert_allclose(
+                    got, want, rtol=1e-12 if not weighted else 1e-9)
 
 
 class TestRelevelProperty:
     """Hypothesis: near-identical churn — the suffix-resume relevel's
-    territory — stays bitwise on the full pass under every backend.
+    territory — stays bitwise on the full pass.
 
     Each script batch-adds flows from an interned route pool, then runs
     rounds of removal bursts with optional *matched* re-adds (the same
     route array object, so the multiset of route keys never gains a
-    member).  That is exactly the state PR 10's relevel path claims to
+    member).  That is exactly the state the relevel path claims to
     resume bitwise; a twin ActiveSet with the path disabled provides the
     full-pass oracle at every allocation.
     """
@@ -240,8 +210,7 @@ class TestRelevelProperty:
             script.append(("allocate",))
 
         def replay(enabled: bool) -> list[np.ndarray]:
-            active = ActiveSet(caps)
-            active._relevel_enabled = enabled
+            active = ActiveSet(caps, relevel=enabled)
             log: list[np.ndarray] = []
             for op in script:
                 if op[0] == "add":
@@ -254,68 +223,26 @@ class TestRelevelProperty:
                     # line up positionally between the twin replays
                     log.append(np.column_stack(
                         (active.flow_ids, rates)).copy())
-            if enabled:
-                log.append(np.array([[active.relevel_fills, 0.0]]))
             return log
 
-        per_backend: dict[str, list] = {}
-        for backend in kernels.available():
-            with kernels.use(backend):
-                fast = replay(True)
-                slow = replay(False)
-            per_backend[backend] = fast
-            for i, (a, b) in enumerate(zip(fast[:-1], slow)):
-                np.testing.assert_array_equal(
-                    a, b, err_msg=f"[{backend}] relevel diverges from "
-                                  f"full pass at allocation {i}")
-        base = per_backend["numpy"]
-        for backend, log in per_backend.items():
-            for i, (a, b) in enumerate(zip(base, log)):
-                np.testing.assert_array_equal(
-                    a, b, err_msg=f"rates diverge at allocation {i} "
-                                  f"(numpy vs {backend})")
+        fast = replay(True)
+        slow = replay(False)
+        assert len(fast) == len(slow)
+        for i, (a, b) in enumerate(zip(fast, slow)):
+            np.testing.assert_array_equal(
+                a, b, err_msg=f"relevel diverges from full pass at "
+                              f"allocation {i}")
 
     def test_property_exercises_relevel(self, small_nesttree):
         """Meta-check: the property's churn shape actually takes the
-        suffix-resume path (guards against a vacuous suite)."""
+        suffix-resume path (guards against a vacuous suite), and that
+        run matches its relevel-disabled twin bitwise."""
         flows = build_workload("unstructuredhr",
                                small_nesttree.num_endpoints, seed=1).build()
-        result, _ = run_all_backends(
-            lambda: simulate(small_nesttree, flows, fidelity="exact"))
-        assert result.allocator_stats["relevel_fills"] > 0
-
-
-class TestDispatcher:
-    def test_numpy_always_available(self):
-        assert "numpy" in kernels.available()
-        assert kernels.get("numpy").NAME == "numpy"
-
-    def test_default_honors_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNELS", "numpy")
-        assert kernels.default_name() == "numpy"
-        monkeypatch.setenv("REPRO_KERNELS", "bogus")
-        with pytest.raises(SimulationError, match="REPRO_KERNELS"):
-            kernels.default_name()
-
-    def test_use_pins_and_restores(self):
-        before = kernels.default_name()
-        with kernels.use("numpy"):
-            assert kernels.default_name() == "numpy"
-            assert ActiveSet(np.ones(2)).kernels.NAME == "numpy"
-        assert kernels.default_name() == before
-
-    def test_explicit_missing_backend_raises(self):
-        if "numba" in kernels.available():
-            pytest.skip("[fast] extra installed; nothing is missing")
-        with pytest.raises(SimulationError, match="repro\\[fast\\]"):
-            kernels.get("numba")
-
-    def test_auto_never_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNELS", "auto")
-        assert kernels.default_name() in ("numpy", "numba")
-
-    def test_activeset_accepts_backend_name(self):
-        a = ActiveSet(np.ones(4), kernels="numpy")
-        assert a.kernels.NAME == "numpy"
-        with pytest.raises(SimulationError, match="unknown kernel backend"):
-            ActiveSet(np.ones(4), kernels="fortran")
+        on = _simulate(small_nesttree, flows, fidelity="exact",
+                       relevel=True)
+        off = _simulate(small_nesttree, flows, fidelity="exact",
+                        relevel=False)
+        assert_results_identical(on, off, "relevel", "full passes")
+        assert on.allocator_stats["relevel_fills"] > 0
+        assert off.allocator_stats["relevel_fills"] == 0

@@ -18,17 +18,20 @@ Four bugs, each pinned by a test that failed before the fix:
    long-lived service scanned an ever-growing dict per dequeue; and
    ``ResultStore`` never cleaned temp files crashed writers left
    behind.
+
+Later hostile-input fixes follow the same pattern: a ``timeline`` count
+of ``1e999`` (``int(inf)``), a non-UTF-8 body and a deeply nested body
+each 500'd; timeline fields, fault counts and ``tasks`` now reject
+bools, strings, negatives and non-finite numbers with a 400.
 """
 
 from __future__ import annotations
 
-import asyncio
+import json
 import os
 import socket
 import time
 import warnings
-
-import pytest
 
 from repro.service import Broker, ResultStore
 from repro.service.scheduler import FairScheduler
@@ -255,3 +258,75 @@ class TestStoreTmpSweep:
         assert not stale.exists()
         assert fresh.exists()  # a live writer's file is left alone
         assert store.stats["swept"] == 0  # first open had nothing stale
+
+
+def _submit_bytes(body: bytes) -> bytes:
+    return (b"POST /v1/submit HTTP/1.1\r\n"
+            b"Content-Length: " + str(len(body)).encode() + b"\r\n\r\n"
+            + body)
+
+
+class TestHostileSubmitBodies:
+    """Hostile ``POST /v1/submit`` bodies are typed 400s, never 500s."""
+
+    _CELL = ('{"workload": "reduce", "tasks": 16, '
+             '"topology": {"family": "fattree", "params": {}}')
+
+    def _cells(self, extra: str) -> bytes:
+        return ('{"cells": [' + self._CELL + ", " + extra + "}]}").encode()
+
+    def test_overflow_non_utf8_and_deep_nesting(self, tmp_path):
+        bodies = {
+            # int(inf) used to raise OverflowError in cell_from_json
+            "overflow": self._cells('"timeline": {"cables": 1e999}'),
+            # json.loads raised UnicodeDecodeError past the JSON guard
+            "non-utf8": b'{"cells": "\xff"}',
+            # the parser raised RecursionError
+            "deep": b"[" * 50000,
+        }
+        with ServerThread(tmp_path / "store") as client:
+            for name, body in bodies.items():
+                status = _raw_request(client.host, client.port,
+                                      _submit_bytes(body))
+                assert status == 400, f"{name} -> {status}"
+            assert _raw_request(client.host, client.port,
+                                b"GET /v1/healthz HTTP/1.1\r\n\r\n") == 200
+
+    def test_fields_validated_strictly(self, tmp_path):
+        bad = (
+            '"timeline": {"cables": -3}',
+            '"timeline": {"uplinks": "7"}',
+            '"timeline": {"seed": true}',
+            '"timeline": {"cables": 2.0}',
+            '"timeline": {"cables": 1, "horizon": NaN}',
+            '"timeline": {"cables": 1, "horizon": 0}',
+            '"timeline": {"cables": 1, "horizon": -1.5}',
+            '"timeline": {"cables": 1, "horizon": Infinity}',
+            '"timeline": {"cables": 1, "horizon": null}',
+            '"timeline": {"cables": 1, "horizon": 1' + "0" * 400 + '}',
+            '"timeline": {"cables": 1, "mttr": NaN}',
+            '"timeline": {"cables": 1, "mttr": "0.5"}',
+            '"faults": {"cables": true}',
+        )
+        with ServerThread(tmp_path / "store") as client:
+            for extra in bad:
+                status = _raw_request(client.host, client.port,
+                                      _submit_bytes(self._cells(extra)))
+                assert status == 400, f"{extra} -> {status}"
+            # a bool tasks used to yield the key "reduce@True"
+            body = (b'{"cells": [{"workload": "reduce", "tasks": true, '
+                    b'"topology": {"family": "fattree", "params": {}}}]}')
+            status = _raw_request(client.host, client.port,
+                                  _submit_bytes(body))
+            assert status == 400
+            assert _raw_request(client.host, client.port,
+                                b"GET /v1/healthz HTTP/1.1\r\n\r\n") == 200
+
+    def test_valid_timeline_still_parses(self):
+        from repro.service.protocol import cell_from_json
+        doc = json.loads(self._CELL + ', "timeline": {"cables": 2, '
+                         '"uplinks": 0, "seed": 5, "horizon": 3, '
+                         '"mttr": 0.5}}')
+        cell = cell_from_json(doc)
+        assert cell.timeline.label() == "tl(2,0,s5,h3,r0.5)"
+        assert isinstance(cell.timeline.horizon, float)
